@@ -5,9 +5,9 @@
 namespace dq::obs {
 
 namespace detail {
-// The calling partition's lane.  Lane 0 outside the parallel engine, so every
-// serial simulation (and all setup-time registration on the main thread)
-// behaves exactly as before lanes existed.
+// The calling partition's lane.  Lane 0 outside a partition step, so every
+// one-partition simulation (and all setup-time registration on the main
+// thread) behaves exactly as before lanes existed.
 thread_local std::uint32_t t_current_lane = 0;
 }  // namespace detail
 

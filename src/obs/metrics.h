@@ -36,7 +36,8 @@ namespace dq::obs {
 // pre-lane behavior (and cost: the hot path tests one empty-vector branch).
 //
 // The current lane is ambient per-thread state owned by the engine; lane 0 is
-// the default everywhere else, including all serial simulations.
+// the default everywhere else, including the coordinating thread and every
+// one-partition simulation.
 namespace detail {
 // Defined in metrics.cpp; exposed here only so current_lane() inlines to a
 // single thread-local read (it sits inside every counter/histogram update

@@ -104,13 +104,6 @@ std::map<std::string, std::uint64_t> MessageStats::table() const {
   return out;
 }
 
-void MessageStats::reset() {
-  total_ = 0;
-  bytes_ = 0;
-  s2s_ = 0;
-  by_type_.fill(0);
-}
-
 void MessageStats::merge(const MessageStats& other) {
   total_ += other.total_;
   bytes_ += other.bytes_;

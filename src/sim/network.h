@@ -168,9 +168,8 @@ class MessageStats {
   // a dense array indexed by the payload's variant index (no string
   // construction or map lookup per message); names only exist here.
   [[nodiscard]] std::map<std::string, std::uint64_t> table() const;
-  void reset();
 
-  // Fold another accounting into this one (the partitioned engine keeps one
+  // Fold another accounting into this one (the engine keeps one
   // MessageStats per partition and merges them for reporting).
   void merge(const MessageStats& other);
 

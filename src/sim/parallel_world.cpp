@@ -44,8 +44,8 @@ Duration base_delay(const Topology::Params& p, LinkClass c) {
 
 namespace detail {
 // Which partition the current thread is executing (null on the coordinating
-// thread and in every serial simulation).  Plain thread-local state: set and
-// cleared by the engine around each partition step.
+// thread).  Plain thread-local state: set and cleared by the engine around
+// each partition step.
 // dqlint:allow(part-mutable-global): per-thread by construction; each worker
 // sees only its own partition pointer, so nothing is shared across them.
 thread_local PartitionState* t_state = nullptr;
@@ -80,7 +80,7 @@ PartitionPlan make_partition_plan(const Topology& topo,
   // Lookahead: the smallest base one-way delay on any link that actually
   // crosses partitions under this assignment.  Jitter is multiplicative
   // (>= 1x), so the base delay lower-bounds every realized delay.
-  Duration lookahead = kTimeInfinity / 2;
+  Duration lookahead = kTimeInfinity;
   const std::size_t n = topo.num_nodes();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -210,7 +210,7 @@ struct Engine::Pool {
 
 Engine::Engine(World& world, std::size_t threads) : world_(world) {
   const std::size_t parts = world_.parts_.size();
-  DQ_INVARIANT(parts > 0, "engine requires a partitioned world");
+  DQ_INVARIANT(parts > 0, "engine requires at least one partition");
   threads_ = std::clamp<std::size_t>(threads, 1, parts);
   pool_ = std::make_unique<Pool>(threads_ - 1);
 }
@@ -227,10 +227,25 @@ std::size_t Engine::run_until(Time deadline) {
     for (auto& p : parts) {
       t_min = std::min(t_min, p->sched->next_event_time());
     }
-    if (t_min == kTimeInfinity || t_min > deadline) break;
-    const Time window =
-        lookahead < kTimeInfinity - t_min ? std::min(deadline, t_min + lookahead)
-                                          : deadline;
+    const Time t_boundary = boundary_.next_event_time();
+    const Time t_next = std::min(t_min, t_boundary);
+    if (t_next == kTimeInfinity || t_next > deadline) break;
+    if (t_boundary <= t_min) {
+      // A round-boundary event: stop every partition at exactly its time,
+      // with the traces so far already in the world tracer, and run it (and
+      // whatever it schedules for the same instant) on this thread.
+      merge_tracers();
+      for (auto& p : parts) p->sched->advance_to(t_boundary);
+      executed += boundary_.run_until(t_boundary);
+      continue;
+    }
+    Time window = deadline;
+    if (lookahead < kTimeInfinity - t_min) {
+      window = std::min(window, t_min + lookahead);
+    }
+    if (t_boundary != kTimeInfinity) {
+      window = std::min(window, t_boundary - 1);
+    }
 
     // Phase A: every partition executes its local window concurrently.
     // Cross-partition sends land in the outboxes, never in a live queue.
@@ -254,7 +269,7 @@ std::size_t Engine::run_until(Time deadline) {
 
   if (deadline < kTimeInfinity) {
     // No events remain at or before the deadline; advance every partition
-    // clock to it (same contract as the serial Scheduler::run_until).
+    // clock to it (same contract as Scheduler::run_until).
     for (auto& p : parts) p->sched->run_until(deadline);
   }
   merge_tracers();

@@ -1,4 +1,5 @@
-// Conservative parallel discrete-event execution inside a single World.
+// Conservative parallel discrete-event execution: the one engine every
+// World runs on.
 //
 // The simulation's nodes are split into a fixed set of partitions, each with
 // its own scheduler (event queue + clock), rng stream, message accounting,
@@ -24,16 +25,19 @@
 // The partition count is derived from the topology alone -- never from the
 // thread count -- so `--world-threads 1` and `--world-threads 8` execute the
 // exact same partitioned schedule; threads only decide how many partitions
-// advance concurrently within a round.
+// advance concurrently within a round.  A one-partition plan has no
+// cross-partition link, so its lookahead is unbounded and each run call is a
+// single round: that is the plain sequential schedule.
 //
 // Determinism boundaries the engine relies on (enforced by World):
 //   * Actors only touch their own node's state from on_message/timers, and a
 //     node's events all run on its owning partition's queue.
 //   * Shared named metrics instruments use per-partition lanes
 //     (obs/metrics.h); snapshots fold lanes in fixed order.
-//   * Fault/crash injection mutates cross-partition reachability state and
-//     is therefore only available on the classic serial engine (the
-//     experiment harness falls back and says so).
+//   * Fault and crash changes touch state every partition reads, so they are
+//     round-boundary events: they run from one queue on the coordinating
+//     thread, with every partition stopped at exactly the event's time, and
+//     no round's window reaches past the next one.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +60,7 @@ namespace dq::sim::par {
 // Static node -> partition assignment plus the lookahead it induces.
 struct PartitionPlan {
   std::vector<std::uint32_t> of_node;  // node id -> partition index
-  std::size_t count = 0;               // 0 = serial (no partitioning)
+  std::size_t count = 0;
   Duration lookahead = 0;              // min cross-partition base delay
 };
 
@@ -68,8 +72,8 @@ struct PartitionPlan {
 // Build the plan: servers are split into `partitions` contiguous balanced
 // blocks and every client joins its home server's partition (keeping the
 // cheap 4 ms client<->home link *inside* a partition, which leaves the 40 ms
-// server<->server delay as the lookahead).  `partitions` is clamped to
-// [1, num_servers].
+// server<->server delay as the lookahead; a one-partition plan crosses no
+// link and gets kTimeInfinity).  `partitions` is clamped to [1, num_servers].
 [[nodiscard]] PartitionPlan make_partition_plan(const Topology& topo,
                                                 std::size_t partitions);
 
@@ -105,7 +109,6 @@ struct PartitionState {
   Tracer tracer;
   std::uint64_t next_rpc_id = 0;  // low bits of this partition's rpc ids
   std::uint64_t send_seq = 0;     // feeds Mail::seq
-  std::uint64_t dropped = 0;
   std::size_t executed_in_round = 0;
   // outbox[dst]: mail this partition produced for partition dst this round.
   // Single producer (this partition's worker), single consumer (dst's merge
@@ -126,8 +129,9 @@ extern thread_local PartitionState* t_state;
 
 // Ambient "which partition is this thread executing" state, used by World to
 // route rng draws, timers, sends, clocks, and traces without threading a
-// context argument through every actor.  Null outside a partition step (the
-// coordinating thread and all serial simulations).
+// context argument through every actor.  Null outside a partition step (on
+// the coordinating thread: setup, between run calls, and round-boundary
+// events).
 [[nodiscard]] inline PartitionState* current_state() {
   return detail::t_state;
 }
@@ -135,7 +139,8 @@ inline void set_current_state(PartitionState* state) {
   detail::t_state = state;
 }
 
-// The round loop + worker pool.  Owned by a World in partitioned mode.
+// The round loop, the worker pool, and the round-boundary queue.  Owned by
+// every World.
 class Engine {
  public:
   Engine(World& world, std::size_t threads);
@@ -147,10 +152,14 @@ class Engine {
   // Run every partition up to `deadline` (same contract as
   // Scheduler::run_until: executes events at <= deadline, then advances all
   // partition clocks to the deadline unless it is kTimeInfinity).  Returns
-  // the number of events executed.
+  // the number of events executed, round-boundary events included.
   std::size_t run_until(Time deadline);
 
   [[nodiscard]] std::size_t threads() const { return threads_; }
+
+  // Round-boundary events (World::schedule_boundary).  Only the coordinating
+  // thread touches this queue.
+  [[nodiscard]] Scheduler& boundary() { return boundary_; }
 
  private:
   struct Pool;  // the only thread-primitive holder, in parallel_world.cpp
@@ -160,6 +169,7 @@ class Engine {
 
   World& world_;
   std::size_t threads_ = 1;
+  Scheduler boundary_;
   std::unique_ptr<Pool> pool_;
 };
 

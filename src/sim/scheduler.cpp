@@ -78,6 +78,13 @@ Time Scheduler::next_event_time() {
   return kTimeInfinity;
 }
 
+void Scheduler::advance_to(Time t) {
+  DQ_INVARIANT(t >= now_ && next_event_time() >= t,
+               "advance_to may not move the clock back or past a pending "
+               "event");
+  now_ = t;
+}
+
 void Scheduler::cancel_event(std::uint32_t slot_idx, std::uint32_t gen) {
   if (slot_idx >= num_slots_) return;
   Slot& s = slot(slot_idx);

@@ -113,6 +113,12 @@ class Scheduler {
   // execution window.
   [[nodiscard]] Time next_event_time();
 
+  // Move the clock forward to `t` without running anything.  No live event
+  // may be pending before `t`.  The world engine stops every partition at
+  // exactly a round-boundary event's time with this, so timers the event
+  // sets (say, from a recovery hook) start from that instant.
+  void advance_to(Time t);
+
   // Pool slots ever allocated (high-water mark of concurrently pending
   // events, rounded up to a chunk).  Introspection for tests and the
   // throughput bench: a steady pool size means the hot loop is recycling

@@ -8,35 +8,31 @@ namespace dq::sim {
 
 World::World(Topology topology, std::uint64_t seed, Parallelism parallel)
     : topo_(std::move(topology)),
-      rng_(seed),
       faults_(topo_.num_nodes()),
       actors_(topo_.num_nodes(), nullptr),
       clocks_(topo_.num_nodes()),
       crashed_(topo_.num_nodes(), false),
       incarnation_(topo_.num_nodes(), 0),
-      sent_by_(topo_.num_nodes(), 0),
-      received_by_(topo_.num_nodes(), 0) {
-  if (parallel.partitions > 0) {
-    plan_ = par::make_partition_plan(topo_, parallel.partitions);
-    // Lanes must exist before any instrument registers (including the net
-    // counters right below).
-    metrics_.set_lanes(static_cast<std::uint32_t>(plan_.count));
-    Rng seeder(seed);
-    parts_.reserve(plan_.count);
-    for (std::size_t p = 0; p < plan_.count; ++p) {
-      auto st = std::make_unique<par::PartitionState>();
-      st->world = this;
-      st->index = static_cast<std::uint32_t>(p);
-      st->sched = std::make_unique<Scheduler>();
-      // Independent per-partition streams derived from the trial seed; the
-      // derivation depends only on (seed, partition), never on threads.
-      st->rng = seeder.split();
-      st->tracer.enable(true);  // world.trace() gates on the main tracer
-      st->outbox.resize(plan_.count);
-      parts_.push_back(std::move(st));
-    }
-    engine_ = std::make_unique<par::Engine>(*this, parallel.threads);
+      plan_(par::make_partition_plan(topo_, parallel.partitions)) {
+  // Lanes must exist before any instrument registers (including the net
+  // counters below).
+  metrics_.set_lanes(static_cast<std::uint32_t>(plan_.count));
+  Rng seeder(seed);
+  parts_.reserve(plan_.count);
+  for (std::size_t p = 0; p < plan_.count; ++p) {
+    auto st = std::make_unique<par::PartitionState>();
+    st->world = this;
+    st->index = static_cast<std::uint32_t>(p);
+    st->sched = std::make_unique<Scheduler>();
+    // A lone partition draws from the trial seed's own stream; several get
+    // independent streams split from it.  Either way the derivation depends
+    // only on (seed, plan), never on threads.
+    st->rng = plan_.count == 1 ? Rng(seed) : seeder.split();
+    st->tracer.enable(true);  // world.trace() gates on the main tracer
+    st->outbox.resize(plan_.count);
+    parts_.push_back(std::move(st));
   }
+  engine_ = std::make_unique<par::Engine>(*this, parallel.threads);
   m_sent_ = &metrics_.counter("net.sent");
   m_bytes_ = &metrics_.counter("net.bytes");
   m_delivered_ = &metrics_.counter("net.delivered");
@@ -65,15 +61,7 @@ void World::set_clock(NodeId node, DriftClock clock) {
   clocks_.at(node.value()) = clock;
 }
 
-Scheduler& World::scheduler() {
-  DQ_INVARIANT(parts_.empty(),
-               "scheduler() is the serial engine's queue; on the partitioned "
-               "engine schedule through set_timer");
-  return sched_;
-}
-
 Scheduler& World::sched_for(std::uint32_t node_idx) {
-  if (parts_.empty()) return sched_;
   par::PartitionState& owner = *parts_[plan_.of_node[node_idx]];
   par::PartitionState* cur = par::current_state();
   DQ_INVARIANT(cur == nullptr || cur->world != this || cur == &owner,
@@ -81,22 +69,14 @@ Scheduler& World::sched_for(std::uint32_t node_idx) {
   return *owner.sched;
 }
 
-MessageStats& World::message_stats() {
-  if (parts_.empty()) return stats_;
-  merged_stats_.reset();
-  for (const auto& st : parts_) merged_stats_.merge(st->stats);
-  return merged_stats_;
-}
-
-std::uint64_t World::dropped_messages() const {
-  std::uint64_t total = dropped_;
-  for (const auto& st : parts_) total += st->dropped;
-  return total;
+MessageStats World::message_stats() const {
+  MessageStats merged;
+  for (const auto& st : parts_) merged.merge(st->stats);
+  return merged;
 }
 
 std::size_t World::executed_events() const {
-  if (parts_.empty()) return sched_.executed_events();
-  std::size_t total = 0;
+  std::size_t total = engine_->boundary().executed_events();
   for (const auto& st : parts_) total += st->sched->executed_events();
   return total;
 }
@@ -106,14 +86,9 @@ void World::send_tagged(NodeId src, NodeId dst, RequestId rpc_id,
   if (!faults_.is_up(src) || crashed_.at(src.value())) {
     return;  // a dead or disconnected node cannot put anything on the wire
   }
-  const bool partitioned = !parts_.empty();
-  par::PartitionState* st = partitioned ? &active_state() : nullptr;
-  Rng& rng = st != nullptr ? st->rng : rng_;
-  MessageStats& stats = st != nullptr ? st->stats : stats_;
-  std::uint64_t& dropped = st != nullptr ? st->dropped : dropped_;
-
-  const std::uint64_t size = stats.count(body);
-  ++sent_by_.at(src.value());
+  par::PartitionState& st = active_state();
+  Rng& rng = st.rng;
+  const std::uint64_t size = st.stats.count(body);
   m_sent_->inc();
   m_bytes_->inc(size);
   const LinkClass link = topo_.link_class(src, dst);
@@ -121,14 +96,12 @@ void World::send_tagged(NodeId src, NodeId dst, RequestId rpc_id,
   m_link_msgs_[link_idx]->inc();
   m_link_bytes_[link_idx]->inc(size);
   if (tracer_.enabled()) {
-    Tracer& tr = st != nullptr ? st->tracer : tracer_;
-    tr.emit(now(), src, "net",
-            std::string(is_reply ? "reply " : "send ") +
-                msg::payload_name(body) + " -> n" +
-                std::to_string(dst.value()));
+    trace_buffer().emit(now(), src, "net",
+                        std::string(is_reply ? "reply " : "send ") +
+                            msg::payload_name(body) + " -> n" +
+                            std::to_string(dst.value()));
   }
   if (!faults_.reachable(src, dst)) {
-    ++dropped;
     m_dropped_->inc();
     return;
   }
@@ -139,30 +112,19 @@ void World::send_tagged(NodeId src, NodeId dst, RequestId rpc_id,
   for (int c = 0; c < copies; ++c) {
     if (faults_.loss_probability() > 0.0 &&
         rng.chance(faults_.loss_probability())) {
-      ++dropped;
       m_dropped_->inc();
       continue;
     }
     const Duration delay = defer + topo_.one_way_delay(link, rng);
     // The last copy moves the body instead of copying it (duplication is
     // rare, so the common case is zero payload copies past this point).
-    Envelope env{src, dst, rpc_id,
-                 c + 1 == copies ? std::move(body) : body, is_reply};
-    if (partitioned) {
-      route_partitioned(std::move(env), delay);
-      continue;
-    }
-    // Keep the delivery event in the scheduler's inline pool (see
-    // Scheduler::kCallbackCapacity) and construct it there in place -- the
-    // envelope is moved exactly once, off this stack frame into the pool.
-    static_assert(Scheduler::EventFn::fits_inline<DeliveryEvent>(),
-                  "delivery event must fit the scheduler's inline buffer");
-    sched_.schedule_construct_at<DeliveryEvent>(
-        sched_.now() + (delay < 0 ? 0 : delay), this, std::move(env));
+    route(Envelope{src, dst, rpc_id,
+                   c + 1 == copies ? std::move(body) : body, is_reply},
+          delay);
   }
 }
 
-void World::route_partitioned(Envelope env, Duration delay) {
+void World::route(Envelope&& env, Duration delay) {
   if (delay < 0) delay = 0;
   const std::uint32_t dst_part = plan_.of_node[env.dst.value()];
   par::PartitionState* cur = par::current_state();
@@ -178,7 +140,10 @@ void World::route_partitioned(Envelope env, Duration delay) {
     return;
   }
   // Intra-partition, or a coordinating-thread send between rounds (all
-  // partition clocks agree then): straight onto the owner's queue.
+  // partition clocks agree then): straight onto the owner's queue.  The
+  // delivery event is constructed in place in the scheduler's inline pool
+  // (see Scheduler::kCallbackCapacity) -- the envelope is moved exactly
+  // once, from the sender's temporary into the pool.
   Scheduler& queue = *parts_[dst_part]->sched;
   const Time base = in_step ? cur->sched->now() : queue.now();
   static_assert(Scheduler::EventFn::fits_inline<DeliveryEvent>(),
@@ -193,17 +158,11 @@ void World::deliver(Envelope& env) {
   // started while the message was in flight eats it (a message cannot
   // outrun a partition in this model; good enough for the experiments).
   if (!faults_.is_up(env.dst) || crashed_.at(idx)) {
-    if (parts_.empty()) {
-      ++dropped_;
-    } else {
-      ++active_state().dropped;
-    }
     m_dropped_->inc();
     return;
   }
   Actor* a = actors_.at(idx);
   DQ_INVARIANT(a != nullptr, "message addressed to a node with no actor");
-  ++received_by_.at(idx);
   m_delivered_->inc();
   a->on_message(env);
 }

@@ -5,23 +5,28 @@
 // the world only through the narrow API here (send / timers / clocks / rng),
 // which is what makes failure injection and deterministic replay possible.
 //
-// A world runs on one of two engines:
-//   * serial (default): one scheduler, one rng, exactly the classic
-//     behavior;
-//   * partitioned (Parallelism{partitions > 0}): nodes are split into
-//     topology-derived partitions, each with its own scheduler/rng/stats
-//     lane, executed in conservative lookahead rounds by a worker pool
-//     (sim/parallel_world.h).  Output is a pure function of the partition
-//     plan -- byte-identical at any thread count -- but differs from the
-//     serial engine's schedule, so callers opt in explicitly.
+// Every world runs on the partitioned engine (sim/parallel_world.h): nodes
+// are split into partitions, each with its own scheduler/rng/stats lane,
+// executed in conservative lookahead rounds by a worker pool.  Output is a
+// pure function of the partition plan -- byte-identical at any thread count.
+// The default plan has one partition, which draws from the trial seed's own
+// stream and runs each run call as a single round: the plain sequential
+// schedule.  A multi-partition plan (Parallelism{partitions > 1}) splits the
+// nodes by topology and gives each partition a stream split from the seed,
+// so its schedule differs from the one-partition plan's.
+//
+// Fault and crash changes (set_up, crash, restart, FaultPlane edits) touch
+// state every partition reads.  Mid-run they are round-boundary events
+// (schedule_boundary): they run on the coordinating thread while every
+// partition is stopped at exactly the event's time.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
 
-#include <array>
-
+#include "common/assert.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -63,13 +68,12 @@ class Actor {
 
 class World {
  public:
-  // Intra-trial parallelism knobs.  partitions == 0 selects the classic
-  // serial engine.  partitions >= 1 selects the partitioned engine (the
-  // count is clamped to [1, num_servers]; pass
-  // par::default_partition_count(topo) for the standard topology-derived
-  // plan).  `threads` sizes the worker pool and never affects results.
+  // Intra-trial parallelism knobs.  `partitions` picks the plan (clamped to
+  // [1, num_servers]; pass par::default_partition_count(topo) for the
+  // standard topology-derived plan).  `threads` sizes the worker pool and
+  // never affects results.
   struct Parallelism {
-    std::size_t partitions = 0;
+    std::size_t partitions = 1;
     std::size_t threads = 1;
   };
 
@@ -91,9 +95,7 @@ class World {
   void set_clock(NodeId node, DriftClock clock);
 
   // --- actor-facing API ----------------------------------------------------
-  [[nodiscard]] Time now() const {
-    return parts_.empty() ? sched_.now() : active_state().sched->now();
-  }
+  [[nodiscard]] Time now() const { return active_state().sched->now(); }
   [[nodiscard]] Time local_now(NodeId node) const {
     return clock_of(node).local_time(now());
   }
@@ -117,8 +119,8 @@ class World {
   // per request.  Loss / duplication / delay / reachability are evaluated at
   // call time from the sending partition's stream (the batch itself is a
   // scheduled event, so this stays deterministic); delivery happens at
-  // depart_at + delay, which on the partitioned engine is always at or past
-  // the lookahead bound because defer >= 0.
+  // depart_at + delay, which is always at or past the lookahead bound
+  // because defer >= 0.
   void send_at(NodeId src, NodeId dst, Time depart_at, RequestId rpc_id,
                msg::Payload body) {
     const Time t = now();
@@ -152,37 +154,47 @@ class World {
     return set_timer(node, delay < 0 ? 0 : delay, std::move(fn));
   }
 
-  [[nodiscard]] Rng& rng() {
-    return parts_.empty() ? rng_ : active_state().rng;
-  }
+  [[nodiscard]] Rng& rng() { return active_state().rng; }
   [[nodiscard]] RequestId fresh_rpc_id() {
-    if (parts_.empty()) return RequestId(++next_rpc_id_);
     // Partition-disjoint id spaces: high bits carry the partition, so two
     // partitions can mint ids concurrently and never collide.  Partition 0
-    // (and therefore every single-partition plan) mints the serial values.
+    // mints plain sequential values.
     par::PartitionState& st = active_state();
     return RequestId((static_cast<std::uint64_t>(st.index) << 48) |
                      ++st.next_rpc_id);
   }
 
   // --- tracing ---------------------------------------------------------------
-  // Enable/inspect via tracer().  On the partitioned engine each partition
-  // buffers its own events and the engine folds them into this tracer in a
-  // deterministic (time, partition, emission) order at the end of each run
-  // call.
+  // Enable/inspect via tracer().  Inside a partition step each partition
+  // buffers its own events, and the engine folds them into this tracer in a
+  // deterministic (time, partition, emission) order before each
+  // round-boundary event and at the end of each run call.  Events emitted on
+  // the coordinating thread go straight to this tracer.
   [[nodiscard]] Tracer& tracer() { return tracer_; }
   [[nodiscard]] bool tracing() const { return tracer_.enabled(); }
   // Emit a protocol event at `node` (no-op unless tracing is enabled).
   void trace(NodeId node, std::string category, std::string detail) {
     if (!tracer_.enabled()) return;
-    Tracer& t = parts_.empty() ? tracer_ : active_state().tracer;
-    t.emit(now(), node, std::move(category), std::move(detail));
+    trace_buffer().emit(now(), node, std::move(category), std::move(detail));
   }
 
   // --- failure injection ---------------------------------------------------
+  // Schedule `fn` as a round-boundary event `delay` from now: it runs on the
+  // coordinating thread with every partition stopped at exactly that time,
+  // and no partition runs past it first.  Fault and crash changes made
+  // mid-run go through here (both injectors do); `fn` may change the fault
+  // plane, crash or restart nodes, send, and draw from rng() (partition 0's
+  // stream).  Schedule only from the coordinating thread.
+  template <typename F>
+  TimerToken schedule_boundary(Duration delay, F fn) {
+    DQ_INVARIANT(par::current_state() == nullptr,
+                 "round-boundary events are scheduled from the "
+                 "coordinating thread");
+    return engine_->boundary().schedule_at(now() + (delay < 0 ? 0 : delay),
+                                           std::move(fn));
+  }
+
   // Unreachability (network failure): node keeps running, no traffic in/out.
-  // Mid-run fault mutation is a serial-engine feature (the experiment
-  // harness falls back to serial when injection is configured).
   void set_up(NodeId node, bool up) { faults_.set_up(node, up); }
   [[nodiscard]] bool is_up(NodeId node) const { return faults_.is_up(node); }
 
@@ -197,30 +209,22 @@ class World {
   [[nodiscard]] FaultPlane& faults() { return faults_; }
 
   // --- running -------------------------------------------------------------
-  std::size_t run_until(Time deadline) {
-    return parts_.empty() ? sched_.run_until(deadline)
-                          : engine_->run_until(deadline);
-  }
+  std::size_t run_until(Time deadline) { return engine_->run_until(deadline); }
   std::size_t run_for(Duration d) { return run_until(now() + d); }
-  std::size_t run_all() {
-    return parts_.empty() ? sched_.run_all()
-                          : engine_->run_until(kTimeInfinity);
-  }
-  // The serial engine's event queue.  Injectors and tests that schedule raw
-  // events use it; on the partitioned engine there is no single queue, so
-  // this trips an invariant -- schedule through set_timer instead.
-  [[nodiscard]] Scheduler& scheduler();
+  std::size_t run_all() { return engine_->run_until(kTimeInfinity); }
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] const Topology& topology() const { return topo_; }
-  // Serial: the live per-run accounting.  Partitioned: a merged view over
-  // the per-partition lanes, rebuilt on each call (read it between runs).
-  [[nodiscard]] MessageStats& message_stats();
-  [[nodiscard]] std::uint64_t dropped_messages() const;
-  // Events executed so far, summed over every partition's scheduler.
+  // The message accounting so far, merged over the partitions (read it
+  // between runs; each call takes a fresh copy).
+  [[nodiscard]] MessageStats message_stats() const;
+  [[nodiscard]] std::uint64_t dropped_messages() const {
+    return m_dropped_->value();
+  }
+  // Events executed so far, summed over every partition's scheduler and the
+  // round-boundary queue.
   [[nodiscard]] std::size_t executed_events() const;
 
-  // The active partition plan; count == 0 on the serial engine.
   [[nodiscard]] const par::PartitionPlan& partition_plan() const {
     return plan_;
   }
@@ -231,16 +235,6 @@ class World {
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const {
     return metrics_;
-  }
-
-  // Per-node load: messages this node sent / had delivered to it.  The
-  // grid-quorum experiments use this to show load spreading ("reduce the
-  // overall system load", paper section 6).
-  [[nodiscard]] std::uint64_t sent_by(NodeId n) const {
-    return sent_by_.at(n.value());
-  }
-  [[nodiscard]] std::uint64_t received_by(NodeId n) const {
-    return received_by_.at(n.value());
   }
 
  private:
@@ -261,12 +255,20 @@ class World {
   void deliver(Envelope& env);
 
   // The partition state backing the calling thread: its own state inside a
-  // partition step, partition 0 from the coordinating thread (setup-time
-  // rng draws and sends come from partition 0's stream and lane).
+  // partition step, partition 0 from the coordinating thread (setup-time and
+  // round-boundary rng draws and sends come from partition 0's stream and
+  // lane).
   [[nodiscard]] par::PartitionState& active_state() const {
     par::PartitionState* s = par::current_state();
     if (s != nullptr && s->world == this) return *s;
     return *parts_.front();
+  }
+
+  // Where a trace emitted now lands: the running partition's buffer inside
+  // a step, the world tracer on the coordinating thread.
+  [[nodiscard]] Tracer& trace_buffer() {
+    par::PartitionState* s = par::current_state();
+    return s != nullptr && s->world == this ? s->tracer : tracer_;
   }
 
   // The scheduler that owns `node`'s events.  Inside a partition step only
@@ -274,15 +276,13 @@ class World {
   // timers would race the owner's queue).
   [[nodiscard]] Scheduler& sched_for(std::uint32_t node_idx);
 
-  void route_partitioned(Envelope env, Duration delay);
+  // Queue `env` for delivery `delay` from now at its destination's
+  // partition (cross-partition mail waits in the outbox for the barrier).
+  void route(Envelope&& env, Duration delay);
 
   Topology topo_;
-  Rng rng_;
-  Scheduler sched_;
   Tracer tracer_;
   FaultPlane faults_;
-  MessageStats stats_;
-  MessageStats merged_stats_;  // partitioned: rebuilt by message_stats()
   obs::MetricsRegistry metrics_;
   // Pre-registered network instruments (hot path: no name lookups).
   obs::Counter* m_sent_ = nullptr;
@@ -296,12 +296,8 @@ class World {
   std::vector<bool> crashed_;
   // Incarnation numbers invalidate pre-crash timers cheaply.
   std::vector<std::uint64_t> incarnation_;
-  std::uint64_t next_rpc_id_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::vector<std::uint64_t> sent_by_;
-  std::vector<std::uint64_t> received_by_;
-  // Partitioned-engine state; parts_ empty means serial.  The engine comes
-  // last so its worker pool is torn down before anything it references.
+  // The engine comes last so its worker pool is torn down before anything
+  // it references.
   par::PartitionPlan plan_;
   std::vector<std::unique_ptr<par::PartitionState>> parts_;
   std::unique_ptr<par::Engine> engine_;

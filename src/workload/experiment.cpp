@@ -1,6 +1,6 @@
 #include "workload/experiment.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -25,33 +25,15 @@ Deployment::Deployment(const ExperimentParams& params) : params_(params) {
 
   sim::Topology topo_desc(params_.topo);
   sim::World::Parallelism parallel;
-  if (params_.open_loop) {
-    // Open-loop generators emit straight into partition queues, so the
-    // deployment always runs on the partitioned engine -- no serial
-    // fallback.  world_threads only sizes the worker pool; the partition
-    // plan (and therefore every byte of the report) is independent of it.
-    DQ_INVARIANT(!params_.failures && !params_.crashes,
-                 "open-loop workloads run on the partitioned engine, which "
-                 "excludes failure/crash injection");
+  if (params_.open_loop || params_.world_threads >= 1) {
+    // The topology-derived multi-partition plan.  Open-loop generators always
+    // run on it (world_threads == 0 sizes the pool at one thread); a
+    // closed-loop run opts in with world_threads.  The thread count only
+    // sizes the worker pool: every byte of the report is independent of it.
     parallel.partitions = params_.world_partitions > 0
                               ? params_.world_partitions
                               : sim::par::default_partition_count(topo_desc);
-    parallel.threads =
-        params_.world_threads > 0 ? params_.world_threads : 1;
-  } else if (params_.world_threads >= 1) {
-    if (params_.failures || params_.crashes) {
-      // Fault/crash injectors mutate cross-partition reachability mid-run,
-      // which the conservative engine's lookahead cannot see.  Serial keeps
-      // them exact; note it so a benchmark user isn't silently slower.
-      std::fprintf(stderr,
-                   "note: --world-threads ignored: failure/crash injection "
-                   "requires the serial engine\n");
-    } else {
-      parallel.partitions = params_.world_partitions > 0
-                                ? params_.world_partitions
-                                : sim::par::default_partition_count(topo_desc);
-      parallel.threads = params_.world_threads;
-    }
+    parallel.threads = std::max<std::size_t>(params_.world_threads, 1);
   }
   world_ = std::make_unique<sim::World>(std::move(topo_desc), params_.seed,
                                         parallel);
@@ -93,7 +75,7 @@ Deployment::Deployment(const ExperimentParams& params) : params_(params) {
 
 Deployment::~Deployment() {
   // Injector timers capture `this` of the injectors and live on the world's
-  // scheduler; stop them so a deployment that outlives its run (tests
+  // boundary queue; stop them so a deployment that outlives its run (tests
   // poking the world afterwards) cannot fire into freed injectors, and so
   // up/down churn never reschedules past the experiment horizon.
   if (injector_ != nullptr) injector_->stop();
@@ -244,9 +226,10 @@ ExperimentResult Deployment::collect() {
       ++r.completed_writes;
     }
   }
-  r.total_messages = world_->message_stats().total();
-  r.total_bytes = world_->message_stats().total_bytes();
-  r.message_table = world_->message_stats().table();
+  const sim::MessageStats stats = world_->message_stats();
+  r.total_messages = stats.total();
+  r.total_bytes = stats.total_bytes();
+  r.message_table = stats.table();
   const auto total = r.total_requests();
   if (total != 0) {
     r.messages_per_request = static_cast<double>(r.total_messages) /

@@ -82,10 +82,9 @@ struct ExperimentParams {
 
   // Open-loop aggregated workload (workload/open_loop.h): when set, the
   // closed-loop AppClients are replaced by one SiteGenerator per client
-  // node, and the deployment always runs on the partitioned engine
-  // (world_threads == 0 sizes the worker pool at 1) so that generators emit
-  // straight into partition queues.  Incompatible with failure/crash
-  // injection, which is serial-engine-only.
+  // node, and the deployment always runs on the topology-derived
+  // multi-partition plan (world_threads == 0 sizes the worker pool at 1)
+  // so that generators emit straight into partition queues.
   std::optional<OpenLoopParams> open_loop;
 
   // Read-time staleness (age of information): when set, collect() computes
@@ -107,13 +106,12 @@ struct ExperimentParams {
   std::optional<store::WalParams> wal;
   std::optional<sim::CrashInjector::Params> crashes;
 
-  // Intra-trial parallelism (--world-threads).  0 = the classic serial
-  // engine.  >= 1 opts into the partitioned conservative engine with that
-  // many worker threads; the partition plan is derived from the topology
-  // alone, so the report is byte-identical at every world_threads >= 1 (but
-  // differs from the serial engine's schedule).  Deployments with failure or
-  // crash injection fall back to the serial engine (injectors mutate
-  // cross-partition reachability mid-run) with a note on stderr.
+  // Intra-trial parallelism (--world-threads).  0 = the one-partition plan.
+  // >= 1 runs a closed-loop trial on the topology-derived multi-partition
+  // plan with that many worker threads; the plan is derived from the
+  // topology alone, so the report is byte-identical at every
+  // world_threads >= 1 (but differs from the one-partition plan's
+  // schedule).  Failure and crash injection run on either plan.
   std::size_t world_threads = 0;
   // Partition-count override for tests; 0 = par::default_partition_count.
   std::size_t world_partitions = 0;

@@ -39,18 +39,18 @@ const std::vector<FlagHelp>& experiment_flag_help() {
       {"deadline-ms", "per-op deadline in ms (default: none)"},
       {"think-ms", "client think time in ms (default 0)"},
       {"world-threads", "intra-trial parallelism: run each trial on the"
-                        " partitioned engine with N worker threads (default"
-                        " 0 = serial engine; output is identical for every"
-                        " N >= 1)"},
-      {"world-partitions", "partition-count override for the partitioned"
-                           " engine (default 0 = derived from topology)"},
+                        " topology-derived partition plan with N worker"
+                        " threads (default 0 = one partition; output is"
+                        " identical for every N >= 1)"},
+      {"world-partitions", "partition-count override for --world-threads"
+                           " (default 0 = derived from topology)"},
       {"seed", "RNG seed (default 42)"},
       {"object", "single shared object id (default: per-client objects)"},
       {"staleness", "record per-read staleness (age of information) and add"
                     " the staleness section to the report (default off)"},
       {"open-loop", "open-loop aggregated workload: one generator per site"
-                    " emits a Poisson rate process on the partitioned"
-                    " engine (default off)"},
+                    " emits a Poisson rate process on the topology-derived"
+                    " partition plan (default off)"},
       {"sites", "open-loop: number of edge sites (overrides --clients)"},
       {"clients-per-site", "open-loop: logical clients aggregated per site"
                            " (default 1000)"},
@@ -235,10 +235,6 @@ std::optional<ExperimentParams> params_from_flags(
     }
     ol.horizon = sim::milliseconds(
         static_cast<std::int64_t>(take_num(flags, "open-seconds", 10) * 1e3));
-    if (p.failures || p.crashes) {
-      return fail("--open-loop runs on the partitioned engine; failure/crash"
-                  " injection is serial-engine-only");
-    }
     p.open_loop = ol;
   }
 

@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "workload/experiment.h"
+#include "workload/report.h"
 
 namespace dq::workload {
 namespace {
@@ -167,6 +168,59 @@ TEST(CrashChaosTorn, TornTailPathIsExercised) {
       << "no DQVL chaos seed dropped a torn record; re-pick seeds";
 }
 
+// Open-loop chaos: one generator per site, each aggregating a thousand
+// logical clients, against DQVL under loss, unavailability churn,
+// crash/restart and a group-commit WAL.  Fault transitions are
+// round-boundary events, so the report is byte-identical at any
+// --world-threads; every completed read is regular, and every offered
+// request ends up completed or failed.
+TEST(OpenLoopChaos, ByteIdenticalRegularAndFullyAccounted) {
+  ExperimentParams p;
+  p.protocol = "dqvl";
+  p.seed = 17;
+  p.write_ratio = 0.2;
+  p.locality = 0.9;
+  p.lease_length = sim::seconds(1);
+  p.loss = 0.02;
+  p.topo.jitter = 0.1;
+  p.op_deadline = sim::seconds(5);
+  store::WalParams w;
+  w.policy = store::SyncPolicy::kGroupCommit;
+  p.wal = w;
+  sim::CrashInjector::Params c;
+  c.mean_time_to_crash = sim::seconds(8);
+  c.mean_downtime = sim::milliseconds(500);
+  p.crashes = c;
+  p.failures = sim::FailureInjector::Params::for_unavailability(
+      0.04, sim::seconds(8));
+  OpenLoopParams ol;
+  ol.clients_per_site = 1000;
+  ol.client_rate_hz = 0.1;  // 100 Hz per site
+  ol.objects = 64;
+  ol.horizon = sim::seconds(4);
+  ol.drain = sim::seconds(10);
+  p.open_loop = ol;
+
+  p.world_threads = 1;
+  const ExperimentResult r = run_experiment(p);
+  const std::string at1 = report::to_json(p, r);
+  p.world_threads = 4;
+  EXPECT_EQ(at1, report::to_json(p, run_experiment(p)))
+      << "open-loop chaos report diverges at --world-threads 4";
+
+  EXPECT_TRUE(r.violations.empty())
+      << r.violations.size()
+      << " violations, first: " << r.violations.front().reason;
+  const std::uint64_t offered = r.metrics.counter("open_loop.offered");
+  EXPECT_GT(offered, 1000u);
+  EXPECT_EQ(offered, r.metrics.counter("open_loop.completed") +
+                         r.metrics.counter("open_loop.failed"));
+  EXPECT_GT(r.metrics.counter("iqs.recoveries") +
+                r.metrics.counter("oqs.recoveries"),
+            0u)
+      << "no server ever crash-restarted";
+}
+
 // Crash-restart churn (process deaths, not just unreachability): OQS soft
 // state evaporates and must be re-derived; IQS durable state survives.
 TEST(ChaosExtra, CrashRestartChurn) {
@@ -185,11 +239,10 @@ TEST(ChaosExtra, CrashRestartChurn) {
     const auto idx = w.rng().below(w.topology().num_servers());
     const NodeId n = w.topology().server(idx);
     w.crash(n);
-    w.scheduler().schedule_after(sim::milliseconds(500),
-                                 [&w, n] { w.restart(n); });
-    w.scheduler().schedule_after(sim::seconds(3), churn);
+    w.schedule_boundary(sim::milliseconds(500), [&w, n] { w.restart(n); });
+    w.schedule_boundary(sim::seconds(3), churn);
   };
-  w.scheduler().schedule_after(sim::seconds(2), churn);
+  w.schedule_boundary(sim::seconds(2), churn);
 
   dep.start_clients();
   while (!dep.clients_done() && w.now() < sim::seconds(100000)) {

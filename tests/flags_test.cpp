@@ -121,11 +121,14 @@ TEST(Flags, MalformedFlashCrowdFails) {
   EXPECT_NE(error.find("flash-crowd"), std::string::npos);
 }
 
-TEST(Flags, OpenLoopRejectsInjection) {
+TEST(Flags, OpenLoopAcceptsInjection) {
+  // Fault injection runs on every partition plan, open loop included.
   auto flags = parse({"--open-loop", "--node-unavail=0.01"});
   std::string error;
-  EXPECT_FALSE(params_from_flags(flags, &error).has_value());
-  EXPECT_NE(error.find("open-loop"), std::string::npos);
+  const auto p = params_from_flags(flags, &error);
+  ASSERT_TRUE(p.has_value()) << error;
+  EXPECT_TRUE(p->open_loop.has_value());
+  EXPECT_TRUE(p->failures.has_value());
 }
 
 }  // namespace

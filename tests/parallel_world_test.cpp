@@ -6,13 +6,17 @@
 //      instrument is laned -- so a dq.report.v1 document rendered at
 //      --world-threads 8 must be byte-identical to one from --world-threads
 //      1 (same partitioned schedule, different concurrency).
-//   2. THE SCHEDULE IS REPRODUCIBLE.  A golden report generated at
-//      --world-threads 4 is checked in; every run at any thread count must
-//      keep matching it byte for byte.
+//   2. THE SCHEDULE IS REPRODUCIBLE.  Golden reports generated at
+//      --world-threads 4 are checked in -- one with loss only, one with
+//      crash/restart injection -- and every run at any thread count must
+//      keep matching them byte for byte.
+//   3. FAULTS ARE ROUND-BOUNDARY EVENTS.  Failure and crash injection run on
+//      every partition plan, with every partition stopped at exactly the
+//      event's time.
 //
-// The engine's schedule legitimately differs from the classic serial
-// engine's (different rng stream assignment, different cross-partition
-// interleaving) -- callers opt in -- so there is no cross-engine equality
+// A multi-partition schedule legitimately differs from the one-partition
+// plan's (different rng stream assignment, different cross-partition
+// interleaving) -- callers opt in -- so there is no cross-plan equality
 // test, only cross-thread-count.
 #include <fstream>
 #include <sstream>
@@ -85,23 +89,56 @@ TEST(ParallelWorld, MajorityProtocolIdenticalAcrossThreadCounts) {
   EXPECT_EQ(report_at(p, 1), report_at(p, 4));
 }
 
-TEST(ParallelWorld, InjectionFallsBackToSerialEngine) {
-  // Fault injectors mutate cross-partition reachability mid-run, so a
-  // deployment with them configured must run serial even when world_threads
-  // is set -- and therefore produce exactly the serial engine's report.
-  ExperimentParams p = world_golden_params();
-  p.failures = FailureInjector::Params::for_unavailability(0.05, seconds(50));
-  p.requests_per_client = 40;
-  ExperimentParams serial = p;
-  serial.world_threads = 0;
-  const std::string base = workload::report::to_json(
-      serial, workload::run_experiment(serial));
-  ExperimentParams wt = p;
-  wt.world_threads = 4;
-  const auto result = workload::run_experiment(wt);
-  // Render under the serial params: world_threads itself is not part of the
-  // report (it must never be, or thread counts would become observable).
-  EXPECT_EQ(base, workload::report::to_json(serial, result));
+// The crash golden cell: parallel_runner_test's dqvl_crash cell (WAL with
+// group commit and torn-tail faults, crash/restart over every server), run
+// on the multi-partition plan.  These parameters must not change --
+// tests/golden/report_dqvl_crash_world4_seed13.json was generated from
+// them (at --world-threads 4).
+ExperimentParams crash_world_params() {
+  ExperimentParams p;
+  p.protocol = "dqvl";
+  p.write_ratio = 0.3;
+  p.locality = 0.85;
+  p.requests_per_client = 100;
+  p.lease_length = seconds(1);
+  p.loss = 0.02;
+  p.topo.jitter = 0.1;
+  p.op_deadline = seconds(25);
+  store::WalParams w;
+  w.policy = store::SyncPolicy::kGroupCommit;
+  w.torn_tail_faults = true;
+  p.wal = w;
+  CrashInjector::Params c;
+  c.mean_time_to_crash = seconds(10);
+  c.mean_downtime = seconds(1);
+  p.crashes = c;
+  p.seed = 13;
+  p.world_threads = 1;  // overridden per test
+  return p;
+}
+
+TEST(ParallelWorld, InjectionByteIdenticalAcrossWorldThreadCounts) {
+  // Both injectors at once: unreachability and crash/restart transitions
+  // are round-boundary events, so the thread count stays unobservable.
+  ExperimentParams p = crash_world_params();
+  p.failures = FailureInjector::Params::for_unavailability(0.05, seconds(20));
+  const std::string at1 = report_at(p, 1);
+  for (const std::size_t threads : {2u, 4u, 8u}) {
+    EXPECT_EQ(at1, report_at(p, threads))
+        << "dq.report.v1 with injection diverges at --world-threads "
+        << threads;
+  }
+}
+
+TEST(ParallelWorld, CrashReportMatchesCheckedInGolden) {
+  const std::string path =
+      std::string(DQ_GOLDEN_DIR) + "/report_dqvl_crash_world4_seed13.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(report_at(crash_world_params(), 4) + "\n", buf.str())
+      << "crash-injection report no longer matches its checked-in golden";
 }
 
 // --- engine-level tests on a bare World --------------------------------------
@@ -161,6 +198,53 @@ TEST(ParallelWorld, RunUntilAdvancesEveryPartitionClock) {
   w.send(NodeId(0), NodeId(3), RequestId(1), msg::DqRead{ObjectId(1)});
   w.run_for(seconds(1));
   ASSERT_EQ(actors[3].log.size(), 1u);
+}
+
+TEST(ParallelWorld, RunAllOnOnePartitionStopsAtTheLastEvent) {
+  Topology::Params tp;
+  tp.num_servers = 2;
+  tp.num_clients = 0;
+  World w(Topology(tp), 1);  // the default plan: one partition
+  std::vector<Echo> actors(2);
+  for (std::uint32_t i = 0; i < 2; ++i) w.attach(NodeId(i), actors[i]);
+  w.set_timer(NodeId(0), milliseconds(7), [&w] {
+    w.send(NodeId(0), NodeId(1), w.fresh_rpc_id(), msg::DqRead{ObjectId(1)});
+  });
+  w.run_all();
+  // Request out at 7 ms, in at 47 ms; the reply lands back at 87 ms.
+  ASSERT_EQ(actors[0].log.size(), 1u);
+  EXPECT_EQ(w.now(), milliseconds(87));
+}
+
+TEST(ParallelWorld, BoundaryEventStopsEveryPartitionAtItsTime) {
+  Topology::Params tp;
+  tp.num_servers = 4;
+  tp.num_clients = 0;
+  World w(Topology(tp), 1, World::Parallelism{4, 2});
+  std::vector<Echo> actors(4);
+  for (std::uint32_t i = 0; i < 4; ++i) w.attach(NodeId(i), actors[i]);
+  // A ping leaves node 0 at 1 ms and is due at node 3 at 41 ms, but node 3
+  // drops off the network at 20 ms, inside what would otherwise be one
+  // 40 ms window.  It comes back at 50 ms and arms a 1 ms timer from there.
+  w.set_timer(NodeId(0), milliseconds(1), [&w] {
+    w.send(NodeId(0), NodeId(3), w.fresh_rpc_id(), msg::DqRead{ObjectId(1)});
+  });
+  std::vector<Time> seen;
+  w.schedule_boundary(milliseconds(20), [&] {
+    seen.push_back(w.now());
+    w.set_up(NodeId(3), false);
+  });
+  w.schedule_boundary(milliseconds(50), [&] {
+    seen.push_back(w.now());
+    w.set_up(NodeId(3), true);
+    w.set_timer(NodeId(3), milliseconds(1), [&] { seen.push_back(w.now()); });
+  });
+  w.run_until(seconds(1));
+  EXPECT_EQ(seen, (std::vector<Time>{milliseconds(20), milliseconds(50),
+                                     milliseconds(51)}));
+  EXPECT_TRUE(actors[3].log.empty());
+  EXPECT_EQ(w.dropped_messages(), 1u);
+  EXPECT_EQ(w.executed_events(), 5u);  // timer, delivery, timer, 2 faults
 }
 
 TEST(ParallelWorld, PartitionCountNeverFollowsThreadCount) {

@@ -70,7 +70,7 @@ TEST(Prefetch, WarmsEveryObjectOfTheVolumeInOneExchange) {
     EXPECT_EQ(got, "v" + std::to_string(k));
   }
   // And it took one fetch per contacted IQS node, not 20 object renewals.
-  auto& stats = f.dep->world().message_stats();
+  const auto stats = f.dep->world().message_stats();
   EXPECT_GT(stats.by_type("DqVolFetch"), 0u);
   EXPECT_EQ(stats.by_type("DqObjRenew") + stats.by_type("DqVolObjRenew"),
             0u);

@@ -33,6 +33,22 @@ std::string render(const std::string& proto, std::size_t world_threads) {
   return dq::workload::report::to_json(p, dq::workload::run_experiment(p));
 }
 
+// Both injectors plus a WAL: every unreachability and crash/restart
+// transition is a round-boundary event, run on the coordinating thread
+// between rounds while the workers wait at the barrier -- the hand-off the
+// tsan preset should watch.
+std::string render_injection(std::size_t world_threads) {
+  dq::workload::ExperimentParams p = smoke_params("dqvl");
+  p.failures = dq::sim::FailureInjector::Params::for_unavailability(
+      0.05, dq::sim::seconds(10));
+  p.crashes = dq::sim::CrashInjector::Params{dq::sim::seconds(5),
+                                             dq::sim::milliseconds(500)};
+  p.wal = dq::store::WalParams{};
+  p.op_deadline = dq::sim::seconds(10);
+  p.world_threads = world_threads;
+  return dq::workload::report::to_json(p, dq::workload::run_experiment(p));
+}
+
 // Open-loop generators emit into partition-local queues from worker
 // threads, so they are exactly the code the tsan preset should watch: the
 // batch timers, the shared (const) alias table, and the per-site metric
@@ -83,6 +99,13 @@ int main() {
       return 1;
     }
   }
+  if (render_injection(1) != render_injection(4)) {
+    std::fprintf(stderr,
+                 "tsan_world_smoke: dqvl with failure/crash injection "
+                 "--world-threads 1 and 4 reports differ -- a round-boundary "
+                 "event leaked thread scheduling\n");
+    return 1;
+  }
   const std::string ol1 = render_open_loop(1);
   const std::string ol4 = render_open_loop(4);
   if (ol1 != ol4) {
@@ -94,6 +117,7 @@ int main() {
   }
   std::printf(
       "tsan_world_smoke: dq.report.v1 byte-identical at --world-threads 1 "
-      "and 4 for dqvl, hermes, dynamo, and the open-loop workload\n");
+      "and 4 for dqvl, hermes, dynamo, dqvl with injection, and the "
+      "open-loop workload\n");
   return 0;
 }

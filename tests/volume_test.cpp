@@ -64,10 +64,11 @@ TEST(Volumes, OneVolumeLeaseAmortizesAcrossObjects) {
   // (they were never fetched) but volume-lease traffic is bounded by the
   // IQS size (random read quorums may touch members not yet holding our
   // lease), NOT by the number of objects: that is the amortization.
-  auto& stats = f.dep->world().message_stats();
+  const auto before = f.dep->world().message_stats();
   const auto vol_renews_before =
-      stats.by_type("DqVolRenew") + stats.by_type("DqVolObjRenew");
+      before.by_type("DqVolRenew") + before.by_type("DqVolObjRenew");
   for (std::uint64_t k = 1; k < 8; ++k) f.read(ObjectId(k));
+  const auto stats = f.dep->world().message_stats();
   const auto vol_renews_after =
       stats.by_type("DqVolRenew") + stats.by_type("DqVolObjRenew");
   EXPECT_LE(vol_renews_after - vol_renews_before, 5u)
@@ -88,10 +89,11 @@ TEST(Volumes, SeparateVolumesRenewSeparately) {
   f.write(ObjectId(0), "a");
   f.write(ObjectId(1), "b");
   f.read(ObjectId(0));
-  auto& stats = f.dep->world().message_stats();
-  const auto combined_before = stats.by_type("DqVolObjRenew");
+  const auto combined_before =
+      f.dep->world().message_stats().by_type("DqVolObjRenew");
   f.read(ObjectId(1));  // different volume: needs its own volume lease
-  EXPECT_GT(stats.by_type("DqVolObjRenew"), combined_before);
+  EXPECT_GT(f.dep->world().message_stats().by_type("DqVolObjRenew"),
+            combined_before);
 }
 
 TEST(Volumes, WriteToOneVolumeDoesNotDisturbAnother) {

@@ -186,7 +186,7 @@ TEST_F(WorldTest, SameSeedSameDeliverySchedule) {
               msg::DqRead{ObjectId(1)});
     }
     w2.run_for(seconds(1));
-    times.push_back(w2.scheduler().now());
+    times.push_back(w2.now());
     return r[1].received.size();
   };
   EXPECT_EQ(run(9), run(9));
