@@ -43,7 +43,7 @@ Probe probe(bool prefetch, std::size_t objects) {
   w.crash(s0);
   w.restart(s0);
 
-  const auto msgs_before = w.message_stats().total();
+  const auto msgs_before = w.sent_messages();
   if (prefetch) {
     bool done = false;
     dep.oqs_server(s0)->prefetch(VolumeId(0), [&](bool) { done = true; });
@@ -57,7 +57,7 @@ Probe probe(bool prefetch, std::size_t objects) {
     spin(done);
     reads.add(sim::to_ms(w.now() - t0));
   }
-  return {reads.mean(), w.message_stats().total() - msgs_before};
+  return {reads.mean(), w.sent_messages() - msgs_before};
 }
 
 }  // namespace

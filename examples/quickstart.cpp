@@ -59,7 +59,7 @@ int main() {
   while (!done) world.run_for(sim::seconds(1));
 
   std::printf("\nmessages on the wire, by type:\n");
-  for (const auto& [name, count] : world.message_stats().table()) {
+  for (const auto& [name, count] : world.sent_by_type()) {
     std::printf("  %-20s %llu\n", name.c_str(),
                 static_cast<unsigned long long>(count));
   }

@@ -92,6 +92,4 @@ class Summary {
   mutable bool sorted_ = true;  // vacuously sorted while empty
 };
 
-// Counter map keyed by small enums; see MessageStats in sim/network.h for the
-// main use.
 }  // namespace dq

@@ -6,109 +6,208 @@ namespace dq::msg {
 
 namespace {
 
-// Visitor with one overload per alternative keeps the names next to the
-// types they describe and fails to compile if an alternative is added
-// without a name.
-struct NameOf {
-  const char* operator()(const AppRequest&) const { return "AppRequest"; }
-  const char* operator()(const AppReply&) const { return "AppReply"; }
-  const char* operator()(const DqLcRead&) const { return "DqLcRead"; }
-  const char* operator()(const DqLcReadReply&) const { return "DqLcReadReply"; }
-  const char* operator()(const DqWrite&) const { return "DqWrite"; }
-  const char* operator()(const DqWriteAck&) const { return "DqWriteAck"; }
-  const char* operator()(const DqRead&) const { return "DqRead"; }
-  const char* operator()(const DqReadReply&) const { return "DqReadReply"; }
-  const char* operator()(const DqVolRenew&) const { return "DqVolRenew"; }
-  const char* operator()(const DqVolRenewReply&) const {
-    return "DqVolRenewReply";
-  }
-  const char* operator()(const DqVolRenewAck&) const { return "DqVolRenewAck"; }
-  const char* operator()(const DqVolRenewBatch&) const {
-    return "DqVolRenewBatch";
-  }
-  const char* operator()(const DqVolRenewBatchReply&) const {
-    return "DqVolRenewBatchReply";
-  }
-  const char* operator()(const DqVolRenewAckBatch&) const {
-    return "DqVolRenewAckBatch";
-  }
-  const char* operator()(const DqObjRenew&) const { return "DqObjRenew"; }
-  const char* operator()(const DqObjRenewReply&) const {
-    return "DqObjRenewReply";
-  }
-  const char* operator()(const DqVolFetch&) const { return "DqVolFetch"; }
-  const char* operator()(const DqVolFetchReply&) const {
-    return "DqVolFetchReply";
-  }
-  const char* operator()(const DqVolObjRenew&) const { return "DqVolObjRenew"; }
-  const char* operator()(const DqVolObjRenewReply&) const {
-    return "DqVolObjRenewReply";
-  }
-  const char* operator()(const DqInval&) const { return "DqInval"; }
-  const char* operator()(const DqInvalAck&) const { return "DqInvalAck"; }
-  const char* operator()(const MajRead&) const { return "MajRead"; }
-  const char* operator()(const MajReadReply&) const { return "MajReadReply"; }
-  const char* operator()(const MajLcRead&) const { return "MajLcRead"; }
-  const char* operator()(const MajLcReadReply&) const {
-    return "MajLcReadReply";
-  }
-  const char* operator()(const MajWrite&) const { return "MajWrite"; }
-  const char* operator()(const MajWriteAck&) const { return "MajWriteAck"; }
-  const char* operator()(const PbRead&) const { return "PbRead"; }
-  const char* operator()(const PbReadReply&) const { return "PbReadReply"; }
-  const char* operator()(const PbWrite&) const { return "PbWrite"; }
-  const char* operator()(const PbWriteAck&) const { return "PbWriteAck"; }
-  const char* operator()(const PbSync&) const { return "PbSync"; }
-  const char* operator()(const PbSyncAck&) const { return "PbSyncAck"; }
-  const char* operator()(const RowaRead&) const { return "RowaRead"; }
-  const char* operator()(const RowaReadReply&) const { return "RowaReadReply"; }
-  const char* operator()(const RowaWrite&) const { return "RowaWrite"; }
-  const char* operator()(const RowaWriteAck&) const { return "RowaWriteAck"; }
-  const char* operator()(const AsyncRead&) const { return "AsyncRead"; }
-  const char* operator()(const AsyncReadReply&) const {
-    return "AsyncReadReply";
-  }
-  const char* operator()(const AsyncWrite&) const { return "AsyncWrite"; }
-  const char* operator()(const AsyncWriteAck&) const { return "AsyncWriteAck"; }
-  const char* operator()(const GossipUpdate&) const { return "GossipUpdate"; }
-  const char* operator()(const AeDigest&) const { return "AeDigest"; }
-  const char* operator()(const AeUpdates&) const { return "AeUpdates"; }
-  const char* operator()(const HermesWrite&) const { return "HermesWrite"; }
-  const char* operator()(const HermesWriteAck&) const {
-    return "HermesWriteAck";
-  }
-  const char* operator()(const HermesRead&) const { return "HermesRead"; }
-  const char* operator()(const HermesReadReply&) const {
-    return "HermesReadReply";
-  }
-  const char* operator()(const HermesInv&) const { return "HermesInv"; }
-  const char* operator()(const HermesInvAck&) const { return "HermesInvAck"; }
-  const char* operator()(const HermesVal&) const { return "HermesVal"; }
-  const char* operator()(const HermesValAck&) const { return "HermesValAck"; }
-  const char* operator()(const DynRead&) const { return "DynRead"; }
-  const char* operator()(const DynReadReply&) const { return "DynReadReply"; }
-  const char* operator()(const DynWrite&) const { return "DynWrite"; }
-  const char* operator()(const DynWriteAck&) const { return "DynWriteAck"; }
-  const char* operator()(const DynHandoff&) const { return "DynHandoff"; }
-  const char* operator()(const DynHandoffAck&) const {
-    return "DynHandoffAck";
-  }
-  const char* operator()(const DynRepair&) const { return "DynRepair"; }
+// Sizing building blocks (serialized-representation estimates).
+constexpr std::size_t kHeader = 32;      // src, dst, rpc id, type tag, flags
+constexpr std::size_t kId = 8;           // object / volume id
+constexpr std::size_t kClock = 12;       // logical clock (counter + writer)
+constexpr std::size_t kTime = 8;         // timestamps, durations, epochs
+
+// One row of the wire-type table: an alternative's name and the approximate
+// size of one message of it.
+struct Row {
+  const char* name;
+  std::size_t size;
 };
 
-}  // namespace
+Row row(const char* name, std::size_t body) { return {name, kHeader + body}; }
 
-const char* payload_name(const Payload& p) { return std::visit(NameOf{}, p); }
-
-namespace {
+// The wire-type table: a visitor with one overload per alternative, so each
+// type's name sits next to its size and an alternative added without a row
+// fails to compile.
+struct Describe {
+  Row operator()(const AppRequest& m) const {
+    return row("AppRequest", 1 + kId + m.value.size());
+  }
+  Row operator()(const AppReply& m) const {
+    return row("AppReply", 1 + kId + kClock + m.value.size());
+  }
+  Row operator()(const DqLcRead&) const { return row("DqLcRead", kId); }
+  Row operator()(const DqLcReadReply&) const {
+    return row("DqLcReadReply", kId + kClock);
+  }
+  Row operator()(const DqWrite& m) const {
+    return row("DqWrite", kId + kClock + m.value.size());
+  }
+  Row operator()(const DqWriteAck&) const {
+    return row("DqWriteAck", kId + kClock);
+  }
+  Row operator()(const DqRead&) const { return row("DqRead", kId); }
+  Row operator()(const DqReadReply& m) const {
+    return row("DqReadReply", kId + kClock + m.value.size());
+  }
+  Row operator()(const DqVolRenew&) const {
+    return row("DqVolRenew", kId + kTime);
+  }
+  Row operator()(const DqVolRenewReply& m) const {
+    return row("DqVolRenewReply",
+               kId + 3 * kTime + m.delayed.size() * (kId + kClock));
+  }
+  Row operator()(const DqVolRenewAck&) const {
+    return row("DqVolRenewAck", kId + kClock);
+  }
+  Row operator()(const DqVolRenewBatch& m) const {
+    return row("DqVolRenewBatch", m.renewals.size() * (kId + kTime));
+  }
+  Row operator()(const DqVolRenewBatchReply& m) const {
+    std::size_t total = 0;
+    for (const auto& r : m.replies) {
+      total += kId + 3 * kTime + r.delayed.size() * (kId + kClock);
+    }
+    return row("DqVolRenewBatchReply", total);
+  }
+  Row operator()(const DqVolRenewAckBatch& m) const {
+    return row("DqVolRenewAckBatch", m.acks.size() * (kId + kClock));
+  }
+  Row operator()(const DqObjRenew&) const {
+    return row("DqObjRenew", kId + kTime);
+  }
+  Row operator()(const DqObjRenewReply& m) const {
+    return row("DqObjRenewReply", kId + kClock + 3 * kTime + m.value.size());
+  }
+  Row operator()(const DqVolFetch&) const {
+    return row("DqVolFetch", kId + kTime);
+  }
+  Row operator()(const DqVolFetchReply& m) const {
+    std::size_t total = Describe{}(m.vol).size - kHeader;
+    for (const auto& o : m.objects) {
+      total += kId + kClock + 3 * kTime + o.value.size();
+    }
+    return row("DqVolFetchReply", total);
+  }
+  Row operator()(const DqVolObjRenew&) const {
+    return row("DqVolObjRenew", 2 * kId + kTime);
+  }
+  Row operator()(const DqVolObjRenewReply& m) const {
+    // One envelope around both bodies.
+    return row("DqVolObjRenewReply", Describe{}(m.vol).size - kHeader +
+                                         Describe{}(m.obj).size - kHeader);
+  }
+  Row operator()(const DqInval&) const { return row("DqInval", kId + kClock); }
+  Row operator()(const DqInvalAck&) const {
+    return row("DqInvalAck", kId + kClock);
+  }
+  Row operator()(const MajRead&) const { return row("MajRead", kId); }
+  Row operator()(const MajReadReply& m) const {
+    return row("MajReadReply", kId + kClock + m.value.size());
+  }
+  Row operator()(const MajLcRead&) const { return row("MajLcRead", kId); }
+  Row operator()(const MajLcReadReply&) const {
+    return row("MajLcReadReply", kId + kClock);
+  }
+  Row operator()(const MajWrite& m) const {
+    return row("MajWrite", kId + kClock + m.value.size());
+  }
+  Row operator()(const MajWriteAck&) const {
+    return row("MajWriteAck", kId + kClock);
+  }
+  Row operator()(const PbRead&) const { return row("PbRead", kId); }
+  Row operator()(const PbReadReply& m) const {
+    return row("PbReadReply", kId + kClock + m.value.size());
+  }
+  Row operator()(const PbWrite& m) const {
+    return row("PbWrite", kId + m.value.size());
+  }
+  Row operator()(const PbWriteAck&) const {
+    return row("PbWriteAck", kId + kClock);
+  }
+  Row operator()(const PbSync& m) const {
+    return row("PbSync", kId + kClock + m.value.size());
+  }
+  Row operator()(const PbSyncAck&) const {
+    return row("PbSyncAck", kId + kClock);
+  }
+  Row operator()(const RowaRead&) const { return row("RowaRead", kId); }
+  Row operator()(const RowaReadReply& m) const {
+    return row("RowaReadReply", kId + kClock + m.value.size());
+  }
+  Row operator()(const RowaWrite& m) const {
+    return row("RowaWrite", kId + kClock + m.value.size());
+  }
+  Row operator()(const RowaWriteAck&) const {
+    return row("RowaWriteAck", kId + kClock);
+  }
+  Row operator()(const AsyncRead&) const { return row("AsyncRead", kId); }
+  Row operator()(const AsyncReadReply& m) const {
+    return row("AsyncReadReply", kId + kClock + m.value.size());
+  }
+  Row operator()(const AsyncWrite& m) const {
+    return row("AsyncWrite", kId + m.value.size());
+  }
+  Row operator()(const AsyncWriteAck&) const {
+    return row("AsyncWriteAck", kId + kClock);
+  }
+  Row operator()(const GossipUpdate& m) const {
+    return row("GossipUpdate", kId + kClock + m.value.size());
+  }
+  Row operator()(const AeDigest& m) const {
+    return row("AeDigest", m.entries.size() * (kId + kClock));
+  }
+  Row operator()(const AeUpdates& m) const {
+    std::size_t total = 0;
+    for (const auto& u : m.updates) {
+      total += kId + kClock + u.value.size();
+    }
+    return row("AeUpdates", total);
+  }
+  Row operator()(const HermesWrite& m) const {
+    return row("HermesWrite", kId + m.value.size());
+  }
+  Row operator()(const HermesWriteAck&) const {
+    return row("HermesWriteAck", kId + kClock);
+  }
+  Row operator()(const HermesRead&) const { return row("HermesRead", kId); }
+  Row operator()(const HermesReadReply& m) const {
+    return row("HermesReadReply", kId + kClock + m.value.size());
+  }
+  Row operator()(const HermesInv& m) const {
+    return row("HermesInv", kId + kClock + kTime + m.value.size());
+  }
+  Row operator()(const HermesInvAck&) const {
+    return row("HermesInvAck", kId + kClock);
+  }
+  Row operator()(const HermesVal&) const {
+    return row("HermesVal", kId + kClock + kTime);
+  }
+  Row operator()(const HermesValAck&) const {
+    return row("HermesValAck", kId + kClock);
+  }
+  Row operator()(const DynRead&) const { return row("DynRead", kId); }
+  Row operator()(const DynReadReply& m) const {
+    return row("DynReadReply", kId + kClock + m.value.size());
+  }
+  Row operator()(const DynWrite& m) const {
+    return row("DynWrite", kId + kClock + 4 + m.value.size());
+  }
+  Row operator()(const DynWriteAck&) const {
+    return row("DynWriteAck", kId + kClock);
+  }
+  Row operator()(const DynHandoff& m) const {
+    return row("DynHandoff", kId + kClock + m.value.size());
+  }
+  Row operator()(const DynHandoffAck&) const {
+    return row("DynHandoffAck", kId + kClock);
+  }
+  Row operator()(const DynRepair& m) const {
+    return row("DynRepair", kId + kClock + m.value.size());
+  }
+};
 
 template <std::size_t... I>
 std::array<const char*, sizeof...(I)> make_type_names(
     std::index_sequence<I...>) {
-  // Reuses NameOf so an alternative added without a name still fails to
-  // compile; the default-constructed instances exist only during this
-  // one-time table build.
-  return {NameOf{}(std::variant_alternative_t<I, Payload>{})...};
+  // The default-constructed instances exist only during this one-time
+  // table build.
+  return {Describe{}(std::variant_alternative_t<I, Payload>{}).name...};
 }
 
 }  // namespace
@@ -119,238 +218,8 @@ const char* payload_type_name(std::size_t index) {
   return index < kNames.size() ? kNames[index] : "?";
 }
 
-namespace {
-
-// Whether an alternative is server-to-server is a property of the *type*,
-// so it is answered from a constexpr table indexed by the variant index --
-// this sits inside the per-message accounting on the send hot path, where a
-// std::visit dispatch is measurable.
-template <typename T>
-constexpr bool is_s2s_type() {
-  return std::is_same_v<T, DqVolRenew> || std::is_same_v<T, DqVolRenewReply> ||
-         std::is_same_v<T, DqVolRenewAck> ||
-         std::is_same_v<T, DqVolRenewBatch> ||
-         std::is_same_v<T, DqVolRenewBatchReply> ||
-         std::is_same_v<T, DqVolRenewAckBatch> ||
-         std::is_same_v<T, DqObjRenew> || std::is_same_v<T, DqObjRenewReply> ||
-         std::is_same_v<T, DqVolFetch> || std::is_same_v<T, DqVolFetchReply> ||
-         std::is_same_v<T, DqVolObjRenew> ||
-         std::is_same_v<T, DqVolObjRenewReply> || std::is_same_v<T, DqInval> ||
-         std::is_same_v<T, DqInvalAck> || std::is_same_v<T, PbSync> ||
-         std::is_same_v<T, PbSyncAck> || std::is_same_v<T, GossipUpdate> ||
-         std::is_same_v<T, AeDigest> || std::is_same_v<T, AeUpdates> ||
-         std::is_same_v<T, HermesInv> || std::is_same_v<T, HermesInvAck> ||
-         std::is_same_v<T, HermesVal> || std::is_same_v<T, HermesValAck> ||
-         std::is_same_v<T, DynHandoff> || std::is_same_v<T, DynHandoffAck> ||
-         std::is_same_v<T, DynRepair>;
-}
-
-template <std::size_t... I>
-constexpr std::array<bool, sizeof...(I)> make_s2s_table(
-    std::index_sequence<I...>) {
-  return {is_s2s_type<std::variant_alternative_t<I, Payload>>()...};
-}
-
-constexpr auto kS2S =
-    make_s2s_table(std::make_index_sequence<payload_type_count()>{});
-
-}  // namespace
-
-bool is_server_to_server(const Payload& p) {
-  return kS2S[p.index()];
-}
-
-namespace {
-
-// Sizing building blocks (serialized-representation estimates).
-constexpr std::size_t kHeader = 32;      // src, dst, rpc id, type tag, flags
-constexpr std::size_t kId = 8;           // object / volume id
-constexpr std::size_t kClock = 12;       // logical clock (counter + writer)
-constexpr std::size_t kTime = 8;         // timestamps, durations, epochs
-
-std::size_t sized(std::size_t body) { return kHeader + body; }
-
-struct SizeOf {
-  std::size_t operator()(const AppRequest& m) const {
-    return sized(1 + kId + m.value.size());
-  }
-  std::size_t operator()(const AppReply& m) const {
-    return sized(1 + kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const DqLcRead&) const { return sized(kId); }
-  std::size_t operator()(const DqLcReadReply&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const DqWrite& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const DqWriteAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const DqRead&) const { return sized(kId); }
-  std::size_t operator()(const DqReadReply& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const DqVolRenew&) const {
-    return sized(kId + kTime);
-  }
-  std::size_t operator()(const DqVolRenewReply& m) const {
-    return sized(kId + 3 * kTime + m.delayed.size() * (kId + kClock));
-  }
-  std::size_t operator()(const DqVolRenewAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const DqVolRenewBatch& m) const {
-    return sized(m.renewals.size() * (kId + kTime));
-  }
-  std::size_t operator()(const DqVolRenewBatchReply& m) const {
-    std::size_t total = 0;
-    for (const auto& r : m.replies) {
-      total += kId + 3 * kTime + r.delayed.size() * (kId + kClock);
-    }
-    return sized(total);
-  }
-  std::size_t operator()(const DqVolRenewAckBatch& m) const {
-    return sized(m.acks.size() * (kId + kClock));
-  }
-  std::size_t operator()(const DqObjRenew&) const {
-    return sized(kId + kTime);
-  }
-  std::size_t operator()(const DqObjRenewReply& m) const {
-    return sized(kId + kClock + 3 * kTime + m.value.size());
-  }
-  std::size_t operator()(const DqVolFetch&) const {
-    return sized(kId + kTime);
-  }
-  std::size_t operator()(const DqVolFetchReply& m) const {
-    std::size_t total = SizeOf{}(m.vol) - kHeader;
-    for (const auto& o : m.objects) {
-      total += kId + kClock + 3 * kTime + o.value.size();
-    }
-    return sized(total);
-  }
-  std::size_t operator()(const DqVolObjRenew&) const {
-    return sized(2 * kId + kTime);
-  }
-  std::size_t operator()(const DqVolObjRenewReply& m) const {
-    return SizeOf{}(m.vol) + SizeOf{}(m.obj) - kHeader;  // one envelope
-  }
-  std::size_t operator()(const DqInval&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const DqInvalAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const MajRead&) const { return sized(kId); }
-  std::size_t operator()(const MajReadReply& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const MajLcRead&) const { return sized(kId); }
-  std::size_t operator()(const MajLcReadReply&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const MajWrite& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const MajWriteAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const PbRead&) const { return sized(kId); }
-  std::size_t operator()(const PbReadReply& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const PbWrite& m) const {
-    return sized(kId + m.value.size());
-  }
-  std::size_t operator()(const PbWriteAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const PbSync& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const PbSyncAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const RowaRead&) const { return sized(kId); }
-  std::size_t operator()(const RowaReadReply& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const RowaWrite& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const RowaWriteAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const AsyncRead&) const { return sized(kId); }
-  std::size_t operator()(const AsyncReadReply& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const AsyncWrite& m) const {
-    return sized(kId + m.value.size());
-  }
-  std::size_t operator()(const AsyncWriteAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const GossipUpdate& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const AeDigest& m) const {
-    return sized(m.entries.size() * (kId + kClock));
-  }
-  std::size_t operator()(const AeUpdates& m) const {
-    std::size_t total = 0;
-    for (const auto& u : m.updates) {
-      total += kId + kClock + u.value.size();
-    }
-    return sized(total);
-  }
-  std::size_t operator()(const HermesWrite& m) const {
-    return sized(kId + m.value.size());
-  }
-  std::size_t operator()(const HermesWriteAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const HermesRead&) const { return sized(kId); }
-  std::size_t operator()(const HermesReadReply& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const HermesInv& m) const {
-    return sized(kId + kClock + kTime + m.value.size());
-  }
-  std::size_t operator()(const HermesInvAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const HermesVal&) const {
-    return sized(kId + kClock + kTime);
-  }
-  std::size_t operator()(const HermesValAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const DynRead&) const { return sized(kId); }
-  std::size_t operator()(const DynReadReply& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const DynWrite& m) const {
-    return sized(kId + kClock + 4 + m.value.size());
-  }
-  std::size_t operator()(const DynWriteAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const DynHandoff& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-  std::size_t operator()(const DynHandoffAck&) const {
-    return sized(kId + kClock);
-  }
-  std::size_t operator()(const DynRepair& m) const {
-    return sized(kId + kClock + m.value.size());
-  }
-};
-
-}  // namespace
-
 std::size_t approximate_size(const Payload& p) {
-  return std::visit(SizeOf{}, p);
+  return std::visit(Describe{}, p).size;
 }
 
 }  // namespace dq::msg

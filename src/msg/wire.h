@@ -445,19 +445,10 @@ using Payload = std::variant<
   return std::variant_size_v<Payload>;
 }
 
-// Human-readable name of the payload's alternative, for stats and tracing.
-[[nodiscard]] const char* payload_name(const Payload& p);
-
-// Name of alternative `index` (== payload_name of a payload whose index()
-// is `index`).  Lets hot-path counters key by index and translate to the
-// human-readable name only at report time.
+// Human-readable name of alternative `index` (a payload's index()), for
+// stats and tracing.  Lets hot-path counters key by index and translate to
+// the name only at report time.
 [[nodiscard]] const char* payload_type_name(std::size_t index);
-
-// True for message types that are internal to the replication machinery
-// (server <-> server), false for client-facing request/reply traffic.  The
-// Figure 9 experiments count *all* messages; this split feeds the per-class
-// breakdown the benches print alongside.
-[[nodiscard]] bool is_server_to_server(const Payload& p);
 
 // Approximate serialized size in bytes: a fixed per-message header plus the
 // payload's variable-length fields.  The paper's overhead model weighs all

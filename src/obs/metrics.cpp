@@ -143,12 +143,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return s;
 }
 
-void MetricsRegistry::reset() {
-  for (auto& [name, c] : counters_) *c = Counter{lanes_};
-  for (auto& [name, g] : gauges_) *g = Gauge{lanes_};
-  for (auto& [name, h] : histograms_) *h = Histogram{lanes_};
-}
-
 std::string node_metric(const std::string& base, std::uint32_t node) {
   return base + ".n" + std::to_string(node);
 }

@@ -150,8 +150,9 @@ struct HistogramData {
   [[nodiscard]] double mean() const {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
   }
-  // Bucket-interpolated quantile estimate, q in [0, 1].  Exact for the
-  // extremes, within one bucket (a factor of two) elsewhere.
+  // Quantile estimate, q in [0, 1]: the upper edge of the bucket holding
+  // the q-th observation, clamped to [min, max].  Exact for the extremes,
+  // within one bucket (a factor of two, rounded up) elsewhere.
   [[nodiscard]] double quantile(double q) const;
   void merge(const HistogramData& other);
 };
@@ -234,7 +235,6 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
-  void reset();  // zero every instrument (registrations survive)
 
  private:
   std::uint32_t lanes_ = 1;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/assert.h"
 #include "sim/processing.h"
 
 namespace dq::protocols {
@@ -154,7 +153,11 @@ void PbServer::propagate(ObjectId o, const Value& v, LogicalClock lc,
       },
       [](NodeId, const msg::Payload&) {},
       [this, o, lc, client, rpc](bool ok) {
-        DQ_INVARIANT(ok, "sync propagation has no deadline");
+        // The sync call carries the deployment's rpc options, op deadline
+        // included.  If it expires, send no ack: the client's own retries
+        // and deadline settle the write, and the history checker treats an
+        // un-acked write as concurrent with later reads.
+        if (!ok) return;
         world_.send_tagged(self_, client, rpc, msg::PbWriteAck{o, lc},
                            true);
       },

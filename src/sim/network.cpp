@@ -80,37 +80,4 @@ Duration Topology::one_way_delay(LinkClass link, Rng& rng) const {
   return base;
 }
 
-std::uint64_t MessageStats::count(const msg::Payload& p) {
-  ++total_;
-  const std::uint64_t size = msg::approximate_size(p);
-  bytes_ += size;
-  if (msg::is_server_to_server(p)) ++s2s_;
-  ++by_type_[p.index()];
-  return size;
-}
-
-std::uint64_t MessageStats::by_type(const std::string& name) const {
-  for (std::size_t i = 0; i < by_type_.size(); ++i) {
-    if (name == msg::payload_type_name(i)) return by_type_[i];
-  }
-  return 0;
-}
-
-std::map<std::string, std::uint64_t> MessageStats::table() const {
-  std::map<std::string, std::uint64_t> out;
-  for (std::size_t i = 0; i < by_type_.size(); ++i) {
-    if (by_type_[i] > 0) out.emplace(msg::payload_type_name(i), by_type_[i]);
-  }
-  return out;
-}
-
-void MessageStats::merge(const MessageStats& other) {
-  total_ += other.total_;
-  bytes_ += other.bytes_;
-  s2s_ += other.s2s_;
-  for (std::size_t i = 0; i < by_type_.size(); ++i) {
-    by_type_[i] += other.by_type_[i];
-  }
-}
-
 }  // namespace dq::sim

@@ -1,5 +1,7 @@
 // The simulated network: topology-derived delays, loss, duplication,
-// partitions, node reachability, and per-message-type accounting.
+// partitions, and node reachability.  Message accounting lives on the send
+// path (World::send_tagged): the net.* metrics counters plus one per-type
+// count per partition.
 //
 // This is the substitution for the paper's physical testbed (DESIGN.md
 // section 2): the paper configures a LAN delay of 8 ms between an
@@ -9,11 +11,8 @@
 // request/reply pair reproduces the paper's RTTs.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -149,35 +148,6 @@ class FaultPlane {
   std::vector<bool> up_;
   double loss_ = 0.0;
   double dup_ = 0.0;
-};
-
-// Message accounting for the Figure 9 overhead experiments.  Counts every
-// message handed to the network (including retransmissions and messages that
-// are subsequently lost -- they were sent).
-class MessageStats {
- public:
-  // Returns the approximate wire size of the counted message, so callers
-  // feeding other accounting (the metrics registry) don't size it twice.
-  std::uint64_t count(const msg::Payload& p);
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::uint64_t total_bytes() const { return bytes_; }
-  [[nodiscard]] std::uint64_t server_to_server() const { return s2s_; }
-  [[nodiscard]] std::uint64_t by_type(const std::string& name) const;
-  // Name-keyed table for reports.  Built on demand: the hot-path counter is
-  // a dense array indexed by the payload's variant index (no string
-  // construction or map lookup per message); names only exist here.
-  [[nodiscard]] std::map<std::string, std::uint64_t> table() const;
-
-  // Fold another accounting into this one (the engine keeps one
-  // MessageStats per partition and merges them for reporting).
-  void merge(const MessageStats& other);
-
- private:
-  std::uint64_t total_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t s2s_ = 0;
-  std::array<std::uint64_t, msg::payload_type_count()> by_type_{};
 };
 
 }  // namespace dq::sim

@@ -2,10 +2,10 @@
 // World runs on.
 //
 // The simulation's nodes are split into a fixed set of partitions, each with
-// its own scheduler (event queue + clock), rng stream, message accounting,
-// and trace buffer.  Execution proceeds in synchronization rounds: every
-// round the engine computes the globally earliest pending event time T and a
-// safe window bound
+// its own scheduler (event queue + clock), rng stream, per-type message
+// counts, and trace buffer.  Execution proceeds in synchronization rounds:
+// every round the engine computes the globally earliest pending event time T
+// and a safe window bound
 //
 //     window = T + lookahead,
 //
@@ -40,6 +40,7 @@
 //     no round's window reaches past the next one.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -105,7 +106,9 @@ struct PartitionState {
   std::uint32_t index = 0;
   std::unique_ptr<Scheduler> sched;
   Rng rng{0};
-  MessageStats stats;
+  // Messages this partition sent, by payload variant index (summed and
+  // named only when read: World::sent_by_type).
+  std::array<std::uint64_t, msg::payload_type_count()> sent_by_type{};
   Tracer tracer;
   std::uint64_t next_rpc_id = 0;  // low bits of this partition's rpc ids
   std::uint64_t send_seq = 0;     // feeds Mail::seq

@@ -69,10 +69,14 @@ Scheduler& World::sched_for(std::uint32_t node_idx) {
   return *owner.sched;
 }
 
-MessageStats World::message_stats() const {
-  MessageStats merged;
-  for (const auto& st : parts_) merged.merge(st->stats);
-  return merged;
+std::map<std::string, std::uint64_t> World::sent_by_type() const {
+  std::map<std::string, std::uint64_t> out;
+  for (std::size_t i = 0; i < msg::payload_type_count(); ++i) {
+    std::uint64_t n = 0;
+    for (const auto& st : parts_) n += st->sent_by_type[i];
+    if (n > 0) out.emplace(msg::payload_type_name(i), n);
+  }
+  return out;
 }
 
 std::size_t World::executed_events() const {
@@ -88,7 +92,8 @@ void World::send_tagged(NodeId src, NodeId dst, RequestId rpc_id,
   }
   par::PartitionState& st = active_state();
   Rng& rng = st.rng;
-  const std::uint64_t size = st.stats.count(body);
+  const std::uint64_t size = msg::approximate_size(body);
+  ++st.sent_by_type[body.index()];
   m_sent_->inc();
   m_bytes_->inc(size);
   const LinkClass link = topo_.link_class(src, dst);
@@ -98,7 +103,7 @@ void World::send_tagged(NodeId src, NodeId dst, RequestId rpc_id,
   if (tracer_.enabled()) {
     trace_buffer().emit(now(), src, "net",
                         std::string(is_reply ? "reply " : "send ") +
-                            msg::payload_name(body) + " -> n" +
+                            msg::payload_type_name(body.index()) + " -> n" +
                             std::to_string(dst.value()));
   }
   if (!faults_.reachable(src, dst)) {

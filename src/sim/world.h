@@ -6,7 +6,7 @@
 // which is what makes failure injection and deterministic replay possible.
 //
 // Every world runs on the partitioned engine (sim/parallel_world.h): nodes
-// are split into partitions, each with its own scheduler/rng/stats lane,
+// are split into partitions, each with its own scheduler/rng/metrics lane,
 // executed in conservative lookahead rounds by a worker pool.  Output is a
 // pure function of the partition plan -- byte-identical at any thread count.
 // The default plan has one partition, which draws from the trial seed's own
@@ -23,7 +23,9 @@
 
 #include <array>
 #include <functional>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/assert.h"
@@ -215,12 +217,18 @@ class World {
 
   // --- introspection ---------------------------------------------------------
   [[nodiscard]] const Topology& topology() const { return topo_; }
-  // The message accounting so far, merged over the partitions (read it
-  // between runs; each call takes a fresh copy).
-  [[nodiscard]] MessageStats message_stats() const;
+  // Messages handed to the network so far (net.sent: retransmissions and
+  // messages later lost count -- they were sent), and net.dropped.  Read
+  // between runs.
+  [[nodiscard]] std::uint64_t sent_messages() const {
+    return m_sent_->value();
+  }
   [[nodiscard]] std::uint64_t dropped_messages() const {
     return m_dropped_->value();
   }
+  // The same sends by payload type name, summed over the partitions; types
+  // never sent are absent.  This is the report's message table (Figure 9).
+  [[nodiscard]] std::map<std::string, std::uint64_t> sent_by_type() const;
   // Events executed so far, summed over every partition's scheduler and the
   // round-boundary queue.
   [[nodiscard]] std::size_t executed_events() const;

@@ -133,11 +133,11 @@ void flow_rules(const std::vector<ParsedFile>& files,
     }
   }
 
-  // --- flow-wire-stub: every alternative needs both wire.cpp visitors
-  // (payload_name's NameOf and approximate_size's SizeOf), i.e. >= 2
-  // `operator()(const T&)` overloads.
+  // --- flow-wire-stub: every alternative needs its row in wire.cpp's
+  // wire-type table (the one visitor that names and sizes each type), i.e.
+  // an `operator()(const T&)` overload.
   if (impl != nullptr) {
-    std::map<std::string, int> overloads;
+    std::set<std::string> rows;
     const auto& t = impl->lexed.tokens;
     for (std::size_t i = 0; i + 4 < t.size(); ++i) {
       if (!(t[i].kind == Tok::kIdent && t[i].text == "operator")) continue;
@@ -154,19 +154,15 @@ void flow_rules(const std::vector<ParsedFile>& files,
           t[j + 1].text == "::") {
         j += 2;
       }
-      if (j < t.size() && t[j].kind == Tok::kIdent) {
-        ++overloads[t[j].text];
-      }
+      if (j < t.size() && t[j].kind == Tok::kIdent) rows.insert(t[j].text);
     }
     for (const std::string& name : alts) {
-      const int n = overloads.count(name) != 0 ? overloads.at(name) : 0;
-      if (n < 2) {
-        out->push_back(
-            {hdr->path, anchor_line(name), kRuleFlowWireStub,
-             "payload '" + name + "' has " + std::to_string(n) +
-                 " operator()(const " + name +
-                 "&) overload(s) in wire.cpp; the name and size visitors "
-                 "need one each"});
+      if (rows.count(name) == 0) {
+        out->push_back({hdr->path, anchor_line(name), kRuleFlowWireStub,
+                        "payload '" + name + "' has no operator()(const " +
+                            name +
+                            "&) row in wire.cpp's wire-type table (its "
+                            "name and size)"});
       }
     }
   }

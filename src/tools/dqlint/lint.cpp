@@ -167,9 +167,9 @@ const std::vector<RuleInfo>& rules() {
        {},
        {}},
       {kRuleFlowWireStub,
-       "Payload alternative without both wire.cpp visitor overloads "
-       "(payload_name's NameOf and approximate_size's SizeOf): every "
-       "message type must carry its name and size accounting",
+       "Payload alternative without a row in wire.cpp's wire-type table "
+       "(the visitor overload giving its name and size): every message "
+       "type must carry its name and size accounting",
        {"src/msg/"},
        {},
        {},

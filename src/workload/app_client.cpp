@@ -129,11 +129,7 @@ void AppClient::complete(bool ok, Value value, LogicalClock lc) {
   }
   history_.record(current_);
 
-  if (ok) {
-    const double ms = sim::to_ms(current_.completed - current_.invoked);
-    all_ms_.add(ms);
-    (current_.kind == msg::OpKind::kRead ? read_ms_ : write_ms_).add(ms);
-  } else {
+  if (!ok) {
     ++(current_.kind == msg::OpKind::kRead ? rejected_reads_
                                            : rejected_writes_);
   }

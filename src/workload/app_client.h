@@ -17,7 +17,6 @@
 #include <memory>
 #include <optional>
 
-#include "common/stats.h"
 #include "msg/wire.h"
 #include "protocols/service_client.h"
 #include "sim/world.h"
@@ -58,9 +57,6 @@ class AppClient final : public sim::Actor {
   [[nodiscard]] bool done() const {
     return issued_ >= params_.total_requests && !inflight_;
   }
-  [[nodiscard]] const Summary& read_ms() const { return read_ms_; }
-  [[nodiscard]] const Summary& write_ms() const { return write_ms_; }
-  [[nodiscard]] const Summary& all_ms() const { return all_ms_; }
   [[nodiscard]] const History& history() const { return history_; }
   [[nodiscard]] std::uint64_t rejected_reads() const {
     return rejected_reads_;
@@ -90,7 +86,6 @@ class AppClient final : public sim::Actor {
   sim::TimerToken deadline_timer_;
   sim::TimerToken retransmit_timer_;
 
-  Summary read_ms_, write_ms_, all_ms_;
   History history_;
   std::uint64_t rejected_reads_ = 0, rejected_writes_ = 0;
 };

@@ -226,17 +226,6 @@ ExperimentResult Deployment::collect() {
       ++r.completed_writes;
     }
   }
-  const sim::MessageStats stats = world_->message_stats();
-  r.total_messages = stats.total();
-  r.total_bytes = stats.total_bytes();
-  r.message_table = stats.table();
-  const auto total = r.total_requests();
-  if (total != 0) {
-    r.messages_per_request = static_cast<double>(r.total_messages) /
-                             static_cast<double>(total);
-    r.bytes_per_request = static_cast<double>(r.total_bytes) /
-                          static_cast<double>(total);
-  }
   r.violations = r.history.check_regular();
   r.sim_duration = world_->now();
   if (params_.staleness) {
@@ -264,6 +253,18 @@ ExperimentResult Deployment::collect() {
     }
   }
   r.metrics = world_->metrics().snapshot();
+  // The message totals are the net.* counters; the per-type table sums the
+  // same sends by payload type.
+  r.total_messages = r.metrics.counter("net.sent");
+  r.total_bytes = r.metrics.counter("net.bytes");
+  r.message_table = world_->sent_by_type();
+  const auto total = r.total_requests();
+  if (total != 0) {
+    r.messages_per_request = static_cast<double>(r.total_messages) /
+                             static_cast<double>(total);
+    r.bytes_per_request = static_cast<double>(r.total_bytes) /
+                          static_cast<double>(total);
+  }
   return r;
 }
 

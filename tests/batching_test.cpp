@@ -47,7 +47,7 @@ TEST(BatchedRenewals, KeepReadsHitAcrossLeaseBoundaries) {
           << "round " << round << " obj " << k;
     }
   }
-  EXPECT_GT(w.message_stats().by_type("DqVolRenewBatch"), 0u);
+  EXPECT_GT(w.sent_by_type()["DqVolRenewBatch"], 0u);
 }
 
 TEST(BatchedRenewals, OneBatchCoversManyVolumes) {
@@ -64,11 +64,11 @@ TEST(BatchedRenewals, OneBatchCoversManyVolumes) {
     client->read(ObjectId(k), [&](bool, VersionedValue) { done = true; });
     while (!done) w.run_for(sim::milliseconds(5));
   }
-  const auto singles_before = w.message_stats().by_type("DqVolRenew");
+  const auto singles_before = w.sent_by_type()["DqVolRenew"];
   w.run_for(sim::seconds(10));  // many renewal periods
   // All proactive traffic is batched: per-volume renewals do not grow.
-  EXPECT_EQ(w.message_stats().by_type("DqVolRenew"), singles_before);
-  const auto batches = w.message_stats().by_type("DqVolRenewBatch");
+  EXPECT_EQ(w.sent_by_type()["DqVolRenew"], singles_before);
+  const auto batches = w.sent_by_type()["DqVolRenewBatch"];
   EXPECT_GT(batches, 0u);
   // Coarse amortization check: 8 volumes x ~20 rounds would need ~160
   // per-volume messages per IQS member; batches are far fewer.

@@ -1,25 +1,23 @@
-// flow-wire-stub (wire.cpp variant): Pong is missing its SizeOf overload,
-// so the alternative has only one of the two required visitors.
+// flow-wire-stub (wire.cpp variant): Pong has no row in the wire-type
+// table, so nothing names or sizes the alternative.
 #include "msg/wire.h"
 
 namespace dq::msg {
 namespace {
 
-struct NameOf {
-  const char* operator()(const Ping&) const { return "Ping"; }
-  const char* operator()(const Pong&) const { return "Pong"; }
+struct Row {
+  const char* name;
+  std::size_t size;
 };
 
-struct SizeOf {
-  std::size_t operator()(const Ping&) const { return 16; }
+struct Describe {
+  Row operator()(const Ping&) const { return {"Ping", 16}; }
 };
 
 }  // namespace
 
-const char* payload_name(const Payload& p) { return std::visit(NameOf{}, p); }
-
 std::size_t approximate_size(const Payload& p) {
-  return std::visit(SizeOf{}, p);
+  return std::visit(Describe{}, p).size;
 }
 
 }  // namespace dq::msg

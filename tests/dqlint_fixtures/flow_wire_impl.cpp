@@ -1,27 +1,25 @@
-// Wire-impl fixture (stands in for src/msg/wire.cpp): the name and size
-// visitors carry one operator()(const T&) overload per payload, so neither
-// alternative is a wire stub.
+// Wire-impl fixture (stands in for src/msg/wire.cpp): the wire-type table
+// carries one operator()(const T&) row per payload, so neither alternative
+// is a wire stub.
 #include "msg/wire.h"
 
 namespace dq::msg {
 namespace {
 
-struct NameOf {
-  const char* operator()(const Ping&) const { return "Ping"; }
-  const char* operator()(const Pong&) const { return "Pong"; }
+struct Row {
+  const char* name;
+  std::size_t size;
 };
 
-struct SizeOf {
-  std::size_t operator()(const Ping&) const { return 16; }
-  std::size_t operator()(const Pong&) const { return 16; }
+struct Describe {
+  Row operator()(const Ping&) const { return {"Ping", 16}; }
+  Row operator()(const Pong&) const { return {"Pong", 16}; }
 };
 
 }  // namespace
 
-const char* payload_name(const Payload& p) { return std::visit(NameOf{}, p); }
-
 std::size_t approximate_size(const Payload& p) {
-  return std::visit(SizeOf{}, p);
+  return std::visit(Describe{}, p).size;
 }
 
 }  // namespace dq::msg

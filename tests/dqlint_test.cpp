@@ -320,7 +320,7 @@ TEST(DqlintProgram, FlowUnregistered) {
 
 TEST(DqlintProgram, FlowWireStub) {
   auto mapping = flow_program();
-  mapping[1].second = "bad_flow_wire_stub.cpp";  // Pong missing SizeOf
+  mapping[1].second = "bad_flow_wire_stub.cpp";  // Pong has no row
   const RunReport rr = lint_fixture_program(mapping);
   const auto counts = rule_counts(rr);
   EXPECT_EQ(counts.at("flow-wire-stub"), 1);

@@ -118,17 +118,17 @@ TEST(DqvlCore, ColdWriteIsSuppressedNoInvalidations) {
   Fixture f(dqvl_params());
   const auto w = f.write(1, ObjectId(5), "v1");
   EXPECT_TRUE(w.ok);
-  EXPECT_EQ(f.dep->world().message_stats().by_type("DqInval"), 0u);
+  EXPECT_EQ(f.dep->world().sent_by_type()["DqInval"], 0u);
 }
 
 TEST(DqvlCore, WriteAfterReadGoesThroughWithInvalidations) {
   Fixture f(dqvl_params());
   f.write(1, ObjectId(5), "v1");
   f.read(0, ObjectId(5));  // installs callbacks for server 0
-  const auto before = f.dep->world().message_stats().by_type("DqInval");
+  const auto before = f.dep->world().sent_by_type()["DqInval"];
   const auto w = f.write(1, ObjectId(5), "v2");
   EXPECT_TRUE(w.ok);
-  EXPECT_GT(f.dep->world().message_stats().by_type("DqInval"), before);
+  EXPECT_GT(f.dep->world().sent_by_type()["DqInval"], before);
   // And the reader sees the new value (after re-renewing).
   const auto r = f.read(0, ObjectId(5));
   EXPECT_EQ(r.vv.value, "v2");
@@ -146,10 +146,10 @@ TEST(DqvlCore, SecondWriteInBurstIsSuppressed) {
   f.read(0, ObjectId(5));
   f.write(1, ObjectId(5), "v2");  // write-through (invalidates server 0)
   const auto invals_after_first =
-      f.dep->world().message_stats().by_type("DqInval");
+      f.dep->world().sent_by_type()["DqInval"];
   const auto w2 = f.write(1, ObjectId(5), "v3");  // burst: suppressed
   EXPECT_TRUE(w2.ok);
-  EXPECT_EQ(f.dep->world().message_stats().by_type("DqInval"),
+  EXPECT_EQ(f.dep->world().sent_by_type()["DqInval"],
             invals_after_first);
 }
 

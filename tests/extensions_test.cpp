@@ -276,11 +276,11 @@ TEST(FiniteObjectLeases, ExpiredObjectLeaseSuppressesInvalidations) {
 
   // Wait out the object lease; the volume lease stays valid.
   w.run_for(sim::seconds(2));
-  const auto invals_before = w.message_stats().by_type("DqInval");
+  const auto invals_before = w.sent_by_type()["DqInval"];
   done = false;
   writer->write(ObjectId(1), "v2", [&](bool, LogicalClock) { done = true; });
   spin(done);
-  EXPECT_EQ(w.message_stats().by_type("DqInval"), invals_before)
+  EXPECT_EQ(w.sent_by_type()["DqInval"], invals_before)
       << "no invalidation needed once the object lease lapsed";
   // And no delayed-invalidation entry accumulates either.
   const VolumeId v = dep.dq_config()->volumes.volume_of(ObjectId(1));

@@ -3,7 +3,11 @@
 // property the whole design hangs on -- recording metrics perturbs nothing.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
+#include <cstdlib>
+#include <map>
+#include <string>
 
 #include "obs/metrics.h"
 #include "workload/experiment.h"
@@ -41,22 +45,6 @@ TEST(MetricsRegistry, GaugeTracksValueAndHighWaterMark) {
   g.set(-3);
   EXPECT_EQ(g.value(), -3);
   EXPECT_EQ(g.max(), 7);
-}
-
-TEST(MetricsRegistry, ResetZeroesButKeepsRegistrations) {
-  obs::MetricsRegistry reg;
-  obs::Counter& c = reg.counter("x");
-  obs::Gauge& g = reg.gauge("y");
-  obs::Histogram& h = reg.histogram("z");
-  c.inc(7);
-  g.add(4);
-  h.observe(1.5);
-  reg.reset();
-  EXPECT_EQ(&c, &reg.counter("x"));  // same address after reset
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0);
-  EXPECT_EQ(g.max(), 0);
-  EXPECT_EQ(h.data().count, 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -299,6 +287,77 @@ TEST(Report, JsonContainsTheSchemaSections) {
         "\"suppress\"", "\"invalidate\"", "\"lease_wait\"", "\"iqs_load\"",
         "\"metrics\"", "\"sim_duration_ms\"", "\"violations\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
+  }
+}
+
+// The JSON object that follows `"key":` in `json` (the report puts no
+// braces inside strings, so counting them finds its end).
+std::string json_object(const std::string& json, const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\":{");
+  if (at == std::string::npos) return "{}";
+  const std::size_t begin = at + key.size() + 3;
+  int depth = 0;
+  for (std::size_t i = begin; i < json.size(); ++i) {
+    if (json[i] == '{') ++depth;
+    if (json[i] == '}' && --depth == 0) {
+      return json.substr(begin, i - begin + 1);
+    }
+  }
+  return "{}";
+}
+
+// The integer members at the top level of the JSON object `obj` (nested
+// objects skipped): {"a":1,"b":{"c":2}} -> {a: 1}.
+std::map<std::string, std::uint64_t> json_counts(const std::string& obj) {
+  std::map<std::string, std::uint64_t> out;
+  int depth = 0;
+  for (std::size_t i = 0; i < obj.size(); ++i) {
+    if (obj[i] == '{') ++depth;
+    if (obj[i] == '}') --depth;
+    if (obj[i] != '"' || depth != 1) continue;
+    const std::size_t end = obj.find('"', i + 1);
+    if (end == std::string::npos || end + 2 >= obj.size()) break;
+    const std::string key = obj.substr(i + 1, end - i - 1);
+    i = end;
+    const auto next = static_cast<unsigned char>(obj[i + 2]);
+    if (obj[i + 1] == ':' && std::isdigit(next) != 0) {
+      out[key] = std::strtoull(obj.c_str() + i + 2, nullptr, 10);
+    }
+  }
+  return out;
+}
+
+// The report's two message views -- the messages section and the net.*
+// counters in the metrics section -- are one accounting, on the
+// one-partition plan (--world-threads 0) and on a multi-partition one.
+TEST(Report, MessageSectionMatchesNetCounters) {
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    auto p = small_dqvl(11);  // with message loss
+    p.world_threads = threads;
+    const std::string json = report::to_json(p, run_experiment(p));
+    const std::string messages = json_object(json, "messages");
+    const auto totals = json_counts(messages);
+    const auto counters =
+        json_counts(json_object(json_object(json, "metrics"), "counters"));
+    const std::uint64_t sent = counters.at("net.sent");
+    const std::uint64_t bytes = counters.at("net.bytes");
+    ASSERT_GT(sent, 0u);
+    EXPECT_GT(counters.at("net.dropped"), 0u);
+    EXPECT_EQ(totals.at("total"), sent);
+    EXPECT_EQ(totals.at("bytes"), bytes);
+    const auto types = json_counts(json_object(messages, "by_type"));
+    std::uint64_t by_type = 0;
+    for (const auto& [type, n] : types) by_type += n;
+    EXPECT_EQ(by_type, sent);
+    std::uint64_t link_msgs = 0;
+    std::uint64_t link_bytes = 0;
+    for (const auto& [name, n] : counters) {
+      if (name.rfind("net.msgs.", 0) == 0) link_msgs += n;
+      if (name.rfind("net.bytes.", 0) == 0) link_bytes += n;
+    }
+    EXPECT_EQ(link_msgs, sent);
+    EXPECT_EQ(link_bytes, bytes);
   }
 }
 

@@ -70,10 +70,9 @@ TEST(Prefetch, WarmsEveryObjectOfTheVolumeInOneExchange) {
     EXPECT_EQ(got, "v" + std::to_string(k));
   }
   // And it took one fetch per contacted IQS node, not 20 object renewals.
-  const auto stats = f.dep->world().message_stats();
-  EXPECT_GT(stats.by_type("DqVolFetch"), 0u);
-  EXPECT_EQ(stats.by_type("DqObjRenew") + stats.by_type("DqVolObjRenew"),
-            0u);
+  auto stats = f.dep->world().sent_by_type();
+  EXPECT_GT(stats["DqVolFetch"], 0u);
+  EXPECT_EQ(stats["DqObjRenew"] + stats["DqVolObjRenew"], 0u);
 }
 
 TEST(Prefetch, RestoresARestartedNode) {

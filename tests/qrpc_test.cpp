@@ -181,7 +181,7 @@ TEST_F(QrpcTest, DoneAlreadyTrueCompletesWithoutSending) {
       [](NodeId, const msg::Payload&) {}, [] { return true; },
       [&](bool ok) { completed = ok; });
   EXPECT_TRUE(completed);
-  EXPECT_EQ(world->message_stats().total(), 0u);
+  EXPECT_EQ(world->sent_messages(), 0u);
 }
 
 TEST_F(QrpcTest, PokeCompletesCallOnExternalStateChange) {

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/iqs_server.h"
 #include "workload/experiment.h"
+#include "workload/flags.h"
 
 namespace dq::workload {
 namespace {
@@ -200,6 +202,38 @@ TEST(CrashInjection, PrimaryBackupRecoversFromItsWal) {
       << r.violations.size()
       << " violations, first: " << r.violations.front().reason;
   EXPECT_GT(r.metrics.counter("proto.pb.recoveries"), 0u);
+}
+
+// pb-sync with an op deadline: the primary's sync propagation to the backups
+// carries the deployment's rpc options, so under unavailability or crashes it
+// can expire.  The primary then sends no ack, the client's own retries and
+// deadline settle the write, and every run still finishes regular.  The
+// configs are dqsim command lines.
+TEST(CrashInjection, PrimaryBackupSyncToleratesOpDeadlines) {
+  const std::vector<std::vector<std::string>> configs = {
+      {"--protocol=pb-sync", "--node-unavail=0.05", "--deadline-ms=2000",
+       "--seed=7"},
+      {"--protocol=pb-sync", "--crash-mttc-ms=20000", "--wal=sync",
+       "--deadline-ms=1000", "--seed=7"},
+      {"--protocol=pb-sync", "--node-unavail=0.02", "--deadline-ms=3000",
+       "--seed=11"},
+  };
+  for (std::vector<std::string> args : configs) {
+    std::vector<char*> argv{const_cast<char*>("dqsim")};
+    for (std::string& a : args) argv.push_back(a.data());
+    std::string error;
+    auto flags = parse_flag_map(static_cast<int>(argv.size()), argv.data(),
+                                &error);
+    const auto p = params_from_flags(flags, &error);
+    ASSERT_TRUE(p.has_value()) << error;
+    const ExperimentResult r = run_experiment(*p);
+    EXPECT_EQ(r.total_requests(),
+              p->topo.num_clients * p->requests_per_client)
+        << args[1];
+    EXPECT_TRUE(r.violations.empty())
+        << args[1] << ": " << r.violations.size()
+        << " violations, first: " << r.violations.front().reason;
+  }
 }
 
 }  // namespace

@@ -64,16 +64,14 @@ TEST(Volumes, OneVolumeLeaseAmortizesAcrossObjects) {
   // (they were never fetched) but volume-lease traffic is bounded by the
   // IQS size (random read quorums may touch members not yet holding our
   // lease), NOT by the number of objects: that is the amortization.
-  const auto before = f.dep->world().message_stats();
-  const auto vol_renews_before =
-      before.by_type("DqVolRenew") + before.by_type("DqVolObjRenew");
+  auto before = f.dep->world().sent_by_type();
+  const auto vol_renews_before = before["DqVolRenew"] + before["DqVolObjRenew"];
   for (std::uint64_t k = 1; k < 8; ++k) f.read(ObjectId(k));
-  const auto stats = f.dep->world().message_stats();
-  const auto vol_renews_after =
-      stats.by_type("DqVolRenew") + stats.by_type("DqVolObjRenew");
+  auto stats = f.dep->world().sent_by_type();
+  const auto vol_renews_after = stats["DqVolRenew"] + stats["DqVolObjRenew"];
   EXPECT_LE(vol_renews_after - vol_renews_before, 5u)
       << "volume renewals must be bounded by IQS membership, not objects";
-  const auto obj_renews = stats.by_type("DqObjRenew");
+  const auto obj_renews = stats["DqObjRenew"];
   EXPECT_GE(obj_renews, 7u) << "each new object still fetches its value";
   // And second reads of everything are hits.
   for (std::uint64_t k = 0; k < 8; ++k) {
@@ -90,9 +88,9 @@ TEST(Volumes, SeparateVolumesRenewSeparately) {
   f.write(ObjectId(1), "b");
   f.read(ObjectId(0));
   const auto combined_before =
-      f.dep->world().message_stats().by_type("DqVolObjRenew");
+      f.dep->world().sent_by_type()["DqVolObjRenew"];
   f.read(ObjectId(1));  // different volume: needs its own volume lease
-  EXPECT_GT(f.dep->world().message_stats().by_type("DqVolObjRenew"),
+  EXPECT_GT(f.dep->world().sent_by_type()["DqVolObjRenew"],
             combined_before);
 }
 

@@ -154,14 +154,14 @@ TEST_F(WorldTest, LocalClockTimerHonoursDrift) {
   EXPECT_EQ(fired_at, milliseconds(100));
 }
 
-TEST_F(WorldTest, MessageStatsCountByType) {
+TEST_F(WorldTest, SentCountByType) {
   w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
   w.send(NodeId(0), NodeId(1), RequestId(2), msg::DqInval{ObjectId(1), {}});
   w.send(NodeId(0), NodeId(2), RequestId(3), msg::DqInval{ObjectId(1), {}});
-  EXPECT_EQ(w.message_stats().total(), 3u);
-  EXPECT_EQ(w.message_stats().by_type("DqRead"), 1u);
-  EXPECT_EQ(w.message_stats().by_type("DqInval"), 2u);
-  EXPECT_EQ(w.message_stats().server_to_server(), 2u);  // invals only
+  EXPECT_EQ(w.sent_messages(), 3u);
+  EXPECT_EQ(w.sent_by_type()["DqRead"], 1u);
+  EXPECT_EQ(w.sent_by_type()["DqInval"], 2u);
+  EXPECT_EQ(w.sent_by_type()["DqWrite"], 0u);  // never sent
 }
 
 TEST_F(WorldTest, DroppedCounterTracksUnreachableAndLost) {
