@@ -361,9 +361,12 @@ bool IqsServer::node_safe(NodeId j, ObjectId o, LogicalClock lc) {
 }
 
 bool IqsServer::owq_invalid(ObjectId o, LogicalClock lc) {
-  std::set<NodeId> safe;
-  for (NodeId j : cfg_->oqs->members()) {
-    if (node_safe(j, o, lc)) safe.insert(j);
+  // Ask every member, in order, even past a quorum: node_safe may enqueue
+  // a delayed invalidation for it.
+  const std::vector<NodeId>& members = cfg_->oqs->members();
+  quorum::Positions safe;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    safe.set(k, node_safe(members[k], o, lc));
   }
   return cfg_->oqs->is_quorum(quorum::Kind::kWrite, safe);
 }

@@ -23,7 +23,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/ids.h"

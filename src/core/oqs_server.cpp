@@ -38,16 +38,17 @@ bool OqsServer::on_message(const sim::Envelope& env) {
   // Renewal replies: apply the (monotone, idempotent) state updates first,
   // then let the QRPC engine account the reply and re-check its predicate.
   // Late replies whose call already finished still freshen our leases.
+  Granted granted;
   if (const auto* m = std::get_if<msg::DqVolRenewReply>(&env.body)) {
-    apply_vol_renew_reply(env.src, *m);
+    apply_vol_renew_reply(env.src, *m, granted);
     engine_.on_reply(env);
-    poke_pending();
+    poke_pending(granted);
     return true;
   }
   if (const auto* m = std::get_if<msg::DqVolRenewBatchReply>(&env.body)) {
     std::vector<msg::DqVolRenewAck> acks;
     for (const msg::DqVolRenewReply& r : m->replies) {
-      apply_vol_renew_reply(env.src, r, &acks);
+      apply_vol_renew_reply(env.src, r, granted, &acks);
     }
     if (!acks.empty()) {
       // dqlint:allow(proto-direct-send): one-way ack batch; no reply is
@@ -55,32 +56,32 @@ bool OqsServer::on_message(const sim::Envelope& env) {
       world_.send(self_, env.src, RequestId(0),
                   msg::DqVolRenewAckBatch{std::move(acks)});
     }
-    poke_pending();
+    poke_pending(granted);
     return true;
   }
   if (const auto* m = std::get_if<msg::DqObjRenewReply>(&env.body)) {
-    apply_obj_renew_reply(env.src, *m);
+    apply_obj_renew_reply(env.src, *m, granted);
     engine_.on_reply(env);
-    poke_pending();
+    poke_pending(granted);
     return true;
   }
   if (const auto* m = std::get_if<msg::DqVolFetchReply>(&env.body)) {
     // Volume part first (delayed invalidations), then every object grant.
-    apply_vol_renew_reply(env.src, m->vol);
+    apply_vol_renew_reply(env.src, m->vol, granted);
     for (const msg::DqObjRenewReply& o : m->objects) {
-      apply_obj_renew_reply(env.src, o);
+      apply_obj_renew_reply(env.src, o, granted);
     }
     engine_.on_reply(env);
-    poke_pending();
+    poke_pending(granted);
     return true;
   }
   if (const auto* m = std::get_if<msg::DqVolObjRenewReply>(&env.body)) {
     // Volume part first: its delayed invalidations must land before the
     // object lease becomes usable (section 3.2).
-    apply_vol_renew_reply(env.src, m->vol);
-    apply_obj_renew_reply(env.src, m->obj);
+    apply_vol_renew_reply(env.src, m->vol, granted);
+    apply_obj_renew_reply(env.src, m->obj, granted);
     engine_.on_reply(env);
-    poke_pending();
+    poke_pending(granted);
     return true;
   }
   return false;
@@ -93,6 +94,7 @@ void OqsServer::on_crash() {
   obj_state_.clear();
   vol_state_.clear();
   pending_.clear();
+  pending_index_.clear();
   proactive_active_.clear();
 }
 
@@ -116,19 +118,32 @@ bool OqsServer::object_lease_valid(ObjectId o, NodeId i) const {
   auto ot = obj_state_.find(o);
   if (ot == obj_state_.end()) return false;
   auto it = ot->second.find(i);
-  if (it == ot->second.end() || !it->second.valid) return false;
-  if (it->second.expires <= local_now()) return false;  // finite obj lease
-  const VolumeId v = cfg_->volumes.volume_of(o);
-  auto vt = vol_state_.find({v, i});
+  if (it == ot->second.end()) return false;
+  auto vt = vol_state_.find({cfg_->volumes.volume_of(o), i});
   const msg::Epoch vol_epoch = vt == vol_state_.end() ? 0 : vt->second.epoch;
-  return msg::epoch_matches(it->second.epoch, vol_epoch);
+  return grant_counts(it->second, vol_epoch, local_now());
+}
+
+bool OqsServer::grant_counts(const PerIqsObj& st, msg::Epoch vol_epoch,
+                             sim::Time now) {
+  return st.valid && st.expires > now &&  // finite object leases expire
+         msg::epoch_matches(st.epoch, vol_epoch);
 }
 
 bool OqsServer::condition_c(ObjectId o) const {
+  auto ot = obj_state_.find(o);
+  if (ot == obj_state_.end()) return false;  // no grants: no read quorum
   const VolumeId v = cfg_->volumes.volume_of(o);
-  std::set<NodeId> held;
-  for (NodeId i : cfg_->iqs->members()) {
-    if (volume_lease_valid(v, i) && object_lease_valid(o, i)) held.insert(i);
+  const sim::Time now = local_now();
+  const std::vector<NodeId>& members = cfg_->iqs->members();
+  // Mark each IQS member holding both leases, with one lookup each.
+  quorum::Positions held;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    auto vt = vol_state_.find({v, members[k]});
+    if (vt == vol_state_.end() || vt->second.expires <= now) continue;
+    auto it = ot->second.find(members[k]);
+    held.set(k, it != ot->second.end() &&
+                    grant_counts(it->second, vt->second.epoch, now));
   }
   return cfg_->iqs->is_quorum(quorum::Kind::kRead, held);
 }
@@ -156,6 +171,7 @@ void OqsServer::handle_read(const sim::Envelope& env, const msg::DqRead& m) {
   m_misses_->inc();
   const std::uint64_t key = next_pending_++;
   pending_.emplace(key, pr);
+  pending_index_.emplace(cfg_->volumes.volume_of(m.object), m.object, key);
   start_read_machine(key);
 }
 
@@ -216,6 +232,7 @@ void OqsServer::finish_read(std::uint64_t key, bool ok) {
   if (it == pending_.end()) return;
   PendingRead pr = it->second;
   pending_.erase(it);
+  pending_index_.erase({cfg_->volumes.volume_of(pr.object), pr.object, key});
   if (!ok) return;  // deadline exceeded; the service client's QRPC handles it
   m_h_miss_->observe(sim::to_ms(world_.now() - pr.started));
   reply_to_read(pr);
@@ -224,13 +241,40 @@ void OqsServer::finish_read(std::uint64_t key, bool ok) {
   }
 }
 
-void OqsServer::poke_pending() {
-  // State changed (renewal reply or invalidation): any pending read's
-  // condition C may have flipped.  Engine pokes re-evaluate `done`.
+std::vector<ObjectId> OqsServer::pending_objects() const {
+  std::vector<ObjectId> out;
+  out.reserve(pending_.size());
+  for (const auto& [k, pr] : pending_) out.push_back(pr.object);
+  return out;
+}
+
+void OqsServer::poke_pending(const Granted& granted) {
+  // A reply granted leases: the pending reads it names may now satisfy
+  // condition C.  No other read can: time passing and invalidations only
+  // make C false.  Engine pokes re-evaluate `done`, in ascending key order
+  // (the order the reads arrived), and the call ids are collected first
+  // because a completed read leaves pending_.
+  std::vector<std::uint64_t> keys;
+  for (VolumeId v : granted.volumes) {
+    for (auto it = pending_index_.lower_bound({v, ObjectId(0), 0});
+         it != pending_index_.end() && std::get<0>(*it) == v; ++it) {
+      keys.push_back(std::get<2>(*it));
+    }
+  }
+  for (ObjectId o : granted.objects) {
+    for (auto it = pending_index_.lower_bound(
+             {cfg_->volumes.volume_of(o), o, 0});
+         it != pending_index_.end() && std::get<1>(*it) == o; ++it) {
+      keys.push_back(std::get<2>(*it));
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   std::vector<rpc::CallId> calls;
-  calls.reserve(pending_.size());
-  for (const auto& [k, pr] : pending_) {
-    if (pr.call != 0) calls.push_back(pr.call);
+  calls.reserve(keys.size());
+  for (std::uint64_t k : keys) {
+    const rpc::CallId c = pending_.at(k).call;
+    if (c != 0) calls.push_back(c);
   }
   for (rpc::CallId c : calls) engine_.poke(c);
 }
@@ -246,9 +290,16 @@ sim::Duration OqsServer::conservative_lease(sim::Duration granted) const {
 }
 
 void OqsServer::apply_vol_renew_reply(NodeId i, const msg::DqVolRenewReply& r,
+                                      Granted& granted,
                                       std::vector<msg::DqVolRenewAck>*
                                           batch_acks) {
   auto& vs = vol_state_[{r.volume, i}];
+  // Extending a lease that is still valid, under the same epoch, leaves
+  // condition C as it was; opening one or moving the epoch can complete
+  // reads on any object of the volume.
+  if (vs.expires <= local_now() || msg::epoch_newer(r.epoch, vs.epoch)) {
+    granted.volumes.push_back(r.volume);
+  }
   // Conservative expiry: from OUR send time t0, shortened by worst-case
   // drift (Figure 5, processVLRenewReply).
   const sim::Duration eff = conservative_lease(r.lease_length);
@@ -274,7 +325,9 @@ void OqsServer::apply_vol_renew_reply(NodeId i, const msg::DqVolRenewReply& r,
   }
 }
 
-void OqsServer::apply_obj_renew_reply(NodeId i, const msg::DqObjRenewReply& r) {
+void OqsServer::apply_obj_renew_reply(NodeId i, const msg::DqObjRenewReply& r,
+                                      Granted& granted) {
+  granted.objects.push_back(r.object);
   auto& st = obj_state_[r.object][i];
   st.epoch = msg::epoch_max(st.epoch, r.epoch);
   if (st.clock <= r.clock) {
@@ -305,9 +358,9 @@ void OqsServer::apply_invalidation(NodeId i, ObjectId o, LogicalClock lc) {
 void OqsServer::handle_inval(const sim::Envelope& env, const msg::DqInval& m) {
   m_load_->inc();
   m_invals_->inc();
+  // No pending read to re-check: an invalidation only makes C false.
   apply_invalidation(env.src, m.object, m.clock);
   world_.reply(self_, env, msg::DqInvalAck{m.object, m.clock});
-  poke_pending();
 }
 
 // ---------------------------------------------------------------------------
@@ -387,9 +440,10 @@ void OqsServer::maybe_schedule_proactive_renewal(VolumeId v) {
         },
         [](NodeId, const msg::Payload&) {},
         [this, v] {
-          std::set<NodeId> held;
-          for (NodeId i : cfg_->iqs->members()) {
-            if (volume_lease_valid(v, i)) held.insert(i);
+          const std::vector<NodeId>& members = cfg_->iqs->members();
+          quorum::Positions held;
+          for (std::size_t k = 0; k < members.size(); ++k) {
+            held.set(k, volume_lease_valid(v, members[k]));
           }
           return cfg_->iqs->is_quorum(quorum::Kind::kRead, held);
         },

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/ids.h"
@@ -55,6 +56,8 @@ class OqsServer {
     return store_.get(o);
   }
   [[nodiscard]] std::size_t pending_reads() const { return pending_.size(); }
+  // The object of every pending read, in arrival order.
+  [[nodiscard]] std::vector<ObjectId> pending_objects() const;
 
  private:
   struct PerIqsObj {
@@ -75,6 +78,13 @@ class OqsServer {
     rpc::CallId call = 0;
     sim::Time started = 0;  // when the miss began (for dqvl.read.miss_ms)
   };
+  // What one reply granted, i.e. which pending reads it can complete: reads
+  // on an object of `volumes` (the reply opened the volume lease or advanced
+  // its epoch) and reads on `objects` (the reply carried an object grant).
+  struct Granted {
+    std::vector<VolumeId> volumes;
+    std::vector<ObjectId> objects;
+  };
 
   // --- handlers -------------------------------------------------------------
   void handle_read(const sim::Envelope& env, const msg::DqRead& m);
@@ -82,14 +92,16 @@ class OqsServer {
   // When `batch_acks` is non-null, per-volume acknowledgements are
   // collected there instead of sent individually.
   void apply_vol_renew_reply(NodeId i, const msg::DqVolRenewReply& r,
+                             Granted& granted,
                              std::vector<msg::DqVolRenewAck>* batch_acks =
                                  nullptr);
-  void apply_obj_renew_reply(NodeId i, const msg::DqObjRenewReply& r);
+  void apply_obj_renew_reply(NodeId i, const msg::DqObjRenewReply& r,
+                             Granted& granted);
   void apply_invalidation(NodeId i, ObjectId o, LogicalClock lc);
 
   void start_read_machine(std::uint64_t key);
   void finish_read(std::uint64_t key, bool ok);
-  void poke_pending();
+  void poke_pending(const Granted& granted);
   void reply_to_read(const PendingRead& pr);
 
   void maybe_schedule_proactive_renewal(VolumeId v);
@@ -99,6 +111,10 @@ class OqsServer {
     return world_.local_now(self_);
   }
   [[nodiscard]] sim::Duration conservative_lease(sim::Duration granted) const;
+  // Does object grant `st` count at local time `now`, given the epoch of
+  // the volume lease held from the same IQS node?
+  [[nodiscard]] static bool grant_counts(const PerIqsObj& st,
+                                         msg::Epoch vol_epoch, sim::Time now);
 
   sim::World& world_;
   NodeId self_;
@@ -112,6 +128,9 @@ class OqsServer {
   std::map<ObjectId, std::map<NodeId, PerIqsObj>> obj_state_;
   std::map<std::pair<VolumeId, NodeId>, PerIqsVol> vol_state_;
   std::map<std::uint64_t, PendingRead> pending_;
+  // The keys of pending_ by (volume, object), so a reply finds the reads it
+  // can complete without walking every pending read.
+  std::set<std::tuple<VolumeId, ObjectId, std::uint64_t>> pending_index_;
   std::uint64_t next_pending_ = 1;
   std::set<VolumeId> proactive_active_;
   // Lazily built "contact every IQS member" system for prefetch.

@@ -10,6 +10,8 @@ namespace dq::quorum {
 QuorumSystem::QuorumSystem(std::vector<NodeId> members)
     : members_(std::move(members)) {
   DQ_INVARIANT(!members_.empty(), "a quorum system needs members");
+  DQ_INVARIANT(members_.size() <= kMaxMembers,
+               "a quorum system has at most kMaxMembers members");
   std::sort(members_.begin(), members_.end());
   DQ_INVARIANT(std::adjacent_find(members_.begin(), members_.end()) ==
                    members_.end(),
@@ -18,6 +20,12 @@ QuorumSystem::QuorumSystem(std::vector<NodeId> members)
 
 bool QuorumSystem::is_member(NodeId n) const {
   return std::binary_search(members_.begin(), members_.end(), n);
+}
+
+std::optional<std::size_t> QuorumSystem::position(NodeId n) const {
+  const auto it = std::lower_bound(members_.begin(), members_.end(), n);
+  if (it == members_.end() || *it != n) return std::nullopt;
+  return static_cast<std::size_t>(it - members_.begin());
 }
 
 // ---------------------------------------------------------------------------
@@ -58,11 +66,8 @@ std::vector<NodeId> ThresholdQuorum::pick(Kind kind, Rng& rng,
   return out;
 }
 
-bool ThresholdQuorum::is_quorum(Kind kind,
-                                const std::set<NodeId>& acked) const {
-  std::size_t n = 0;
-  for (NodeId m : members_) n += acked.count(m);
-  return n >= quorum_size(kind);
+bool ThresholdQuorum::is_quorum(Kind kind, const Positions& acked) const {
+  return acked.count() >= quorum_size(kind);
 }
 
 std::unique_ptr<ThresholdQuorum> ThresholdQuorum::majority(
@@ -123,12 +128,12 @@ std::vector<NodeId> GridQuorum::pick(Kind kind, Rng& rng,
   return out;
 }
 
-bool GridQuorum::is_quorum(Kind kind, const std::set<NodeId>& acked) const {
+bool GridQuorum::is_quorum(Kind kind, const Positions& acked) const {
   // Row cover: every column has at least one acked member.
   for (std::size_t c = 0; c < cols_; ++c) {
     bool covered = false;
     for (std::size_t r = 0; r < rows_ && !covered; ++r) {
-      covered = acked.count(at(r, c)) > 0;
+      covered = acked.test(r * cols_ + c);
     }
     if (!covered) return false;
   }
@@ -137,7 +142,7 @@ bool GridQuorum::is_quorum(Kind kind, const std::set<NodeId>& acked) const {
   for (std::size_t c = 0; c < cols_; ++c) {
     bool full = true;
     for (std::size_t r = 0; r < rows_ && full; ++r) {
-      full = acked.count(at(r, c)) > 0;
+      full = acked.test(r * cols_ + c);
     }
     if (full) return true;
   }
@@ -150,11 +155,11 @@ bool GridQuorum::is_quorum(Kind kind, const std::set<NodeId>& acked) const {
 
 namespace {
 
-std::set<NodeId> subset_of(const std::vector<NodeId>& members,
-                           std::uint32_t mask) {
-  std::set<NodeId> s;
+std::vector<NodeId> subset_of(const std::vector<NodeId>& members,
+                              std::uint32_t mask) {
+  std::vector<NodeId> s;
   for (std::size_t i = 0; i < members.size(); ++i) {
-    if (mask & (1u << i)) s.insert(members[i]);
+    if (mask & (1u << i)) s.push_back(members[i]);
   }
   return s;
 }
@@ -176,18 +181,17 @@ IntersectionReport check_intersection(const QuorumSystem& qs) {
   for (std::uint32_t s = 0; s < limit && (rep.read_write_ok &&
                                           rep.write_write_ok);
        ++s) {
-    const auto sub = subset_of(m, s);
-    const auto comp = subset_of(m, ~s & (limit - 1));
-    const bool comp_is_write = qs.is_quorum(Kind::kWrite, comp);
-    if (comp_is_write && qs.is_quorum(Kind::kRead, sub)) {
+    const std::uint32_t comp = ~s & (limit - 1);
+    const bool comp_is_write = qs.is_quorum(Kind::kWrite, Positions(comp));
+    if (comp_is_write && qs.is_quorum(Kind::kRead, Positions(s))) {
       rep.read_write_ok = false;
-      rep.counterexample_a.assign(sub.begin(), sub.end());
-      rep.counterexample_b.assign(comp.begin(), comp.end());
+      rep.counterexample_a = subset_of(m, s);
+      rep.counterexample_b = subset_of(m, comp);
     }
-    if (comp_is_write && qs.is_quorum(Kind::kWrite, sub)) {
+    if (comp_is_write && qs.is_quorum(Kind::kWrite, Positions(s))) {
       rep.write_write_ok = false;
-      rep.counterexample_a.assign(sub.begin(), sub.end());
-      rep.counterexample_b.assign(comp.begin(), comp.end());
+      rep.counterexample_a = subset_of(m, s);
+      rep.counterexample_b = subset_of(m, comp);
     }
   }
   return rep;
@@ -199,9 +203,9 @@ double exact_availability(const QuorumSystem& qs, Kind kind, double p_down) {
   const std::uint32_t limit = 1u << m.size();
   double av = 0.0;
   for (std::uint32_t s = 0; s < limit; ++s) {
-    const auto up = subset_of(m, s);
+    const Positions up(s);
     if (!qs.is_quorum(kind, up)) continue;
-    const auto k = up.size();
+    const auto k = up.count();
     av += std::pow(1.0 - p_down, static_cast<double>(k)) *
           std::pow(p_down, static_cast<double>(m.size() - k));
   }

@@ -17,10 +17,10 @@
 //     implement it and benchmark it in the ablations).
 #pragma once
 
+#include <bitset>
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/ids.h"
@@ -30,6 +30,13 @@ namespace dq::quorum {
 
 enum class Kind : std::uint8_t { kRead, kWrite };
 
+// The widest member set a quorum system may have.
+inline constexpr std::size_t kMaxMembers = 256;
+
+// A subset of a system's members, as positions in members(): bit k stands
+// for members()[k].  Fixed width, so testing a quorum allocates nothing.
+using Positions = std::bitset<kMaxMembers>;
+
 class QuorumSystem {
  public:
   virtual ~QuorumSystem() = default;
@@ -37,6 +44,8 @@ class QuorumSystem {
   [[nodiscard]] const std::vector<NodeId>& members() const { return members_; }
   [[nodiscard]] std::size_t size() const { return members_.size(); }
   [[nodiscard]] bool is_member(NodeId n) const;
+  // n's position in members(); nullopt for a non-member.
+  [[nodiscard]] std::optional<std::size_t> position(NodeId n) const;
 
   // Select a quorum uniformly at random, preferring to include `prefer`
   // when it is a member (the paper's QRPC "always transmits requests to the
@@ -44,9 +53,10 @@ class QuorumSystem {
   [[nodiscard]] virtual std::vector<NodeId> pick(
       Kind kind, Rng& rng, std::optional<NodeId> prefer) const = 0;
 
-  // Does `acked` contain a quorum of the given kind?
+  // Does `acked` contain a quorum of the given kind?  Bits at positions
+  // size() and above must be clear.
   [[nodiscard]] virtual bool is_quorum(Kind kind,
-                                       const std::set<NodeId>& acked) const = 0;
+                                       const Positions& acked) const = 0;
 
   // Representative quorum cardinality (used by the analytical models and to
   // size QRPC fan-out).
@@ -65,7 +75,7 @@ class ThresholdQuorum final : public QuorumSystem {
   [[nodiscard]] std::vector<NodeId> pick(
       Kind kind, Rng& rng, std::optional<NodeId> prefer) const override;
   [[nodiscard]] bool is_quorum(Kind kind,
-                               const std::set<NodeId>& acked) const override;
+                               const Positions& acked) const override;
   [[nodiscard]] std::size_t quorum_size(Kind kind) const override {
     return kind == Kind::kRead ? read_size_ : write_size_;
   }
@@ -85,14 +95,14 @@ class ThresholdQuorum final : public QuorumSystem {
 
 class GridQuorum final : public QuorumSystem {
  public:
-  // members.size() must equal rows * cols; member k sits at
-  // (row k / cols, col k % cols).
+  // members.size() must equal rows * cols; member k (in sorted order) sits
+  // at (row k / cols, col k % cols).
   GridQuorum(std::vector<NodeId> members, std::size_t rows, std::size_t cols);
 
   [[nodiscard]] std::vector<NodeId> pick(
       Kind kind, Rng& rng, std::optional<NodeId> prefer) const override;
   [[nodiscard]] bool is_quorum(Kind kind,
-                               const std::set<NodeId>& acked) const override;
+                               const Positions& acked) const override;
   [[nodiscard]] std::size_t quorum_size(Kind kind) const override {
     return kind == Kind::kRead ? cols_ : rows_ + cols_ - 1;
   }

@@ -112,7 +112,10 @@ bool QrpcEngine::on_reply(const sim::Envelope& env) {
   // once per node: every protocol reply in this codebase is idempotent and
   // later replies from the same node carry no more information for quorum
   // accounting.  (State-updating callbacks apply max() merges anyway.)
-  if (!c.responded.insert(env.src).second) return true;
+  const auto pos = c.system->position(env.src);
+  DQ_INVARIANT(pos.has_value(), "QRPC reply from a non-member");
+  if (c.responded.test(*pos)) return true;
+  c.responded.set(*pos);
   c.reply_cb(env.src, env.body);
   check_done(id);
   return true;
@@ -154,12 +157,6 @@ void QrpcEngine::cancel_all() {
   m_inflight_->add(-static_cast<std::int64_t>(calls_.size()));
   calls_.clear();
   by_rpc_id_.clear();
-}
-
-std::set<NodeId> QrpcEngine::responders(CallId id) const {
-  auto it = calls_.find(id);
-  if (it == calls_.end()) return {};
-  return it->second.responded;
 }
 
 }  // namespace dq::rpc

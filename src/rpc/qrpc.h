@@ -26,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/ids.h"
@@ -99,9 +98,6 @@ class QrpcEngine {
 
   [[nodiscard]] std::size_t inflight() const { return calls_.size(); }
 
-  // Nodes that have replied to the given call so far (empty set if done).
-  [[nodiscard]] std::set<NodeId> responders(CallId id) const;
-
  private:
   struct Call {
     RequestId rpc_id;
@@ -114,7 +110,7 @@ class QrpcEngine {
     QrpcOptions opts;
     sim::Duration cur_timeout = 0;
     sim::Time deadline_at = sim::kTimeInfinity;
-    std::set<NodeId> responded;
+    quorum::Positions responded;  // members that have replied
     sim::TimerToken retry_timer;
   };
 

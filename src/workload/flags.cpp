@@ -238,6 +238,11 @@ std::optional<ExperimentParams> params_from_flags(
     p.open_loop = ol;
   }
 
+  if (p.topo.num_servers > quorum::kMaxMembers) {
+    return fail("--servers must be at most " +
+                std::to_string(quorum::kMaxMembers) + " (the widest quorum"
+                " system), got " + std::to_string(p.topo.num_servers));
+  }
   if (p.iqs.size() > p.topo.num_servers) {
     return fail("--iqs spec '" + p.iqs.describe() + "' needs " +
                 std::to_string(p.iqs.size()) + " nodes but --servers=" +

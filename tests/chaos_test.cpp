@@ -221,6 +221,68 @@ TEST(OpenLoopChaos, ByteIdenticalRegularAndFullyAccounted) {
       << "no server ever crash-restarted";
 }
 
+// Every reply that can complete a pending read re-checks it, so no pending
+// read ever holds condition C between events: a read that could be
+// answered never sits waiting for its retry timer.  Multiple volumes,
+// finite object leases, batched proactive renewal, loss, and crash/restart
+// (whose recovery advances epochs) make both the object-grant and the
+// volume-grant re-check rules matter here.
+TEST(OpenLoopChaos, NoPendingReadHoldsConditionC) {
+  ExperimentParams p;
+  p.protocol = "dqvl";
+  p.seed = 23;
+  p.write_ratio = 0.2;
+  p.num_volumes = 4;
+  p.object_lease_length = sim::seconds(2);
+  p.lease_length = sim::seconds(1);
+  p.proactive_renewal = true;
+  p.batch_renewals = true;
+  p.loss = 0.02;
+  p.topo.jitter = 0.1;
+  p.op_deadline = sim::seconds(5);
+  store::WalParams w;
+  w.policy = store::SyncPolicy::kGroupCommit;
+  p.wal = w;
+  sim::CrashInjector::Params c;
+  c.mean_time_to_crash = sim::seconds(6);
+  c.mean_downtime = sim::milliseconds(500);
+  p.crashes = c;
+  OpenLoopParams ol;
+  ol.clients_per_site = 1000;
+  ol.client_rate_hz = 0.1;  // 100 Hz per site
+  ol.objects = 64;
+  ol.horizon = sim::seconds(3);
+  ol.drain = sim::seconds(10);
+  p.open_loop = ol;
+
+  Deployment dep(p);
+  sim::World& world = dep.world();
+  dep.start_clients();
+  std::size_t checked = 0;
+  while (!dep.clients_done() && world.now() < sim::seconds(60)) {
+    world.run_for(sim::milliseconds(10));
+    for (std::size_t i = 0; i < world.topology().num_servers(); ++i) {
+      const NodeId n = world.topology().server(i);
+      const core::OqsServer* oqs = dep.oqs_server(n);
+      ASSERT_NE(oqs, nullptr);
+      for (ObjectId o : oqs->pending_objects()) {
+        ASSERT_FALSE(oqs->condition_c(o))
+            << "a pending read of object " << o.value() << " at node "
+            << n.value() << " holds C at t=" << sim::to_ms(world.now())
+            << " ms";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100u) << "too few pending reads to mean anything";
+  const ExperimentResult r = dep.collect();
+  EXPECT_TRUE(r.violations.empty());
+  EXPECT_GT(r.metrics.counter("oqs.recoveries") +
+                r.metrics.counter("iqs.recoveries"),
+            0u)
+      << "no server ever crash-restarted";
+}
+
 // Crash-restart churn (process deaths, not just unreachability): OQS soft
 // state evaporates and must be re-derived; IQS durable state survives.
 TEST(ChaosExtra, CrashRestartChurn) {

@@ -121,6 +121,16 @@ TEST(Flags, MalformedFlashCrowdFails) {
   EXPECT_NE(error.find("flash-crowd"), std::string::npos);
 }
 
+TEST(Flags, ServersWiderThanAQuorumSystemFail) {
+  auto flags = parse({"--servers=257"});
+  std::string error;
+  EXPECT_FALSE(params_from_flags(flags, &error).has_value());
+  EXPECT_NE(error.find("--servers must be at most 256"), std::string::npos)
+      << error;
+  flags = parse({"--servers=256"});
+  EXPECT_TRUE(params_from_flags(flags, &error).has_value()) << error;
+}
+
 TEST(Flags, OpenLoopAcceptsInjection) {
   // Fault injection runs on every partition plan, open loop included.
   auto flags = parse({"--open-loop", "--node-unavail=0.01"});

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/oqs_server.h"
@@ -265,6 +266,114 @@ TEST_F(OqsHarness, InvalidObjectWithValidVolumeSendsObjectRenewalOnly) {
   // correctness argument (section 3.3).
   EXPECT_EQ(iqs_a.of<msg::DqObjRenew>().size(), 1u);
   EXPECT_TRUE(iqs_a.of<msg::DqVolRenew>().empty());
+}
+
+// --- which replies re-check which pending reads ----------------------------
+//
+// The grants below are unsolicited (rpc id 0): no QRPC call owns them, so
+// only the server's own re-check of pending reads can answer a read before
+// its call's 400 ms retransmission timer fires.
+
+class OqsPokeRules : public OqsHarness {
+ protected:
+  void send_unsolicited(std::uint32_t from, msg::Payload body) {
+    world->send_tagged(NodeId(from), NodeId(kOqs), RequestId(0),
+                       std::move(body), /*is_reply=*/true);
+  }
+  msg::DqVolRenewReply volume_grant(msg::Epoch epoch = 0) {
+    return {VolumeId(0), {}, config->lease_length, epoch,
+            world->local_now(NodeId(kOqs))};
+  }
+  // At clock 5, the clock warm_then_invalidate invalidates at.
+  msg::DqObjRenewReply object_grant(ObjectId o, msg::Epoch epoch = 0) {
+    return {o, "v", {5, 1}, epoch, sim::kTimeInfinity,
+            world->local_now(NodeId(kOqs))};
+  }
+  // Answer a read from both IQS nodes, then invalidate it at node `from`
+  // (clock 5), so the next read of object 1 misses on `from` alone.
+  void warm_then_invalidate(std::uint32_t from) {
+    send_read();
+    grant_all_from(iqs_a, kIqsA, "v", {3, 1});
+    grant_all_from(iqs_b, kIqsB, "v", {3, 1});
+    world->send(NodeId(from), NodeId(kOqs), RequestId(500),
+                msg::DqInval{ObjectId(1), {5, 1}});
+    world->run_for(sim::milliseconds(100));
+    iqs_a.received.clear();
+    iqs_b.received.clear();
+    client.received.clear();
+  }
+  std::vector<std::uint64_t> answered_rpcs() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& e : client.envelopes_of<msg::DqReadReply>()) {
+      out.push_back(e.rpc_id.value());
+    }
+    return out;
+  }
+};
+
+TEST_F(OqsPokeRules, VolumeOnlyReplyCompletesAReadWhoseObjectLeasesHold) {
+  send_read();
+  grant_all_from(iqs_a, kIqsA, "v", {3, 1});
+  grant_all_from(iqs_b, kIqsB, "v", {3, 1});
+  world->run_for(sim::seconds(6));  // volume leases lapse; object leases hold
+  client.received.clear();
+  send_read(/*rpc=*/79);  // t = 200 ms after the send; retry at 440 ms
+  ASSERT_EQ(oqs->pending_reads(), 1u);
+  send_unsolicited(kIqsA, volume_grant());
+  send_unsolicited(kIqsB, volume_grant());
+  world->run_for(sim::milliseconds(100));  // grants land at 240 ms
+  EXPECT_EQ(answered_rpcs(), std::vector<std::uint64_t>{79})
+      << "the second volume grant makes C true and must answer the read";
+  EXPECT_EQ(oqs->pending_reads(), 0u);
+}
+
+TEST_F(OqsPokeRules, VolumeEpochCatchUpAnswersTheReadAtOnce) {
+  warm_then_invalidate(kIqsA);
+  send_read(/*rpc=*/79);  // misses on A's object lease only
+  ASSERT_EQ(iqs_a.of<msg::DqObjRenew>().size(), 1u);
+  // A grants the object under epoch 1 while the held volume epoch is 0:
+  // the grant does not count yet.
+  send_unsolicited(kIqsA, object_grant(ObjectId(1), /*epoch=*/1));
+  world->run_for(sim::milliseconds(60));
+  EXPECT_TRUE(answered_rpcs().empty());
+  EXPECT_FALSE(oqs->condition_c(ObjectId(1)));
+  EXPECT_TRUE(oqs->volume_lease_valid(VolumeId(0), NodeId(kIqsA)));
+  // A volume reply carrying epoch 1 extends a lease that is still valid,
+  // but moves the epoch: the read is answered now, not at its retry.
+  send_unsolicited(kIqsA, volume_grant(/*epoch=*/1));
+  world->run_for(sim::milliseconds(100));  // 360 ms after the send
+  EXPECT_EQ(answered_rpcs(), std::vector<std::uint64_t>{79});
+  EXPECT_EQ(oqs->pending_reads(), 0u);
+}
+
+TEST_F(OqsPokeRules, OneGrantAnswersTwoReadsOfOneObjectInArrivalOrder) {
+  warm_then_invalidate(kIqsB);
+  world->send(NodeId(kClient), NodeId(kOqs), RequestId(81),
+              msg::DqRead{ObjectId(1)});
+  world->run_for(sim::milliseconds(10));
+  world->send(NodeId(kClient), NodeId(kOqs), RequestId(82),
+              msg::DqRead{ObjectId(1)});
+  world->run_for(sim::milliseconds(100));
+  ASSERT_EQ(oqs->pending_reads(), 2u);
+  send_unsolicited(kIqsB, object_grant(ObjectId(1)));
+  world->run_for(sim::milliseconds(100));
+  EXPECT_EQ(answered_rpcs(), (std::vector<std::uint64_t>{81, 82}));
+  EXPECT_EQ(oqs->pending_reads(), 0u);
+}
+
+TEST_F(OqsPokeRules, AnotherObjectsGrantOrAnInvalidationAnswersNothing) {
+  warm_then_invalidate(kIqsB);
+  send_read(/*rpc=*/79);
+  ASSERT_EQ(iqs_b.of<msg::DqObjRenew>().size(), 1u);
+  send_unsolicited(kIqsB, object_grant(ObjectId(2)));
+  world->send(NodeId(kIqsA), NodeId(kOqs), RequestId(501),
+              msg::DqInval{ObjectId(1), {2, 1}});  // stale: changes nothing
+  world->run_for(sim::milliseconds(100));
+  EXPECT_TRUE(answered_rpcs().empty());
+  EXPECT_EQ(oqs->pending_objects(), std::vector<ObjectId>{ObjectId(1)});
+  // B's answer to the read's own renewal completes it.
+  grant_all_from(iqs_b, kIqsB, "v", {5, 1});
+  EXPECT_EQ(answered_rpcs(), std::vector<std::uint64_t>{79});
 }
 
 TEST_F(OqsHarness, CrashClearsAllSoftState) {

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -63,29 +64,46 @@ ExperimentParams crash_golden_params(std::string proto, std::uint64_t seed) {
   return p;
 }
 
+// The lease-renewal golden cell: the cells above run one volume with
+// callback object leases and no proactive renewal, so they never reach the
+// batched volume-renewal reply or finite object leases under drift.  The
+// delayed-invalidation bound of two never trips here (the proactive rounds
+// keep every volume lease valid, so the report shows no epoch bump).
+// These parameters must not change either --
+// tests/golden/report_dqvl_leases_seed7.json was generated from them.
+ExperimentParams lease_golden_params(std::string proto, std::uint64_t seed) {
+  ExperimentParams p = golden_params(std::move(proto), seed);
+  p.num_volumes = 4;
+  p.object_lease_length = sim::seconds(2);
+  p.max_drift = 0.01;
+  p.lease_length = sim::seconds(1);
+  p.proactive_renewal = true;
+  p.batch_renewals = true;
+  p.max_delayed_per_volume = 2;
+  return p;
+}
+
 struct Cell {
   std::string proto;
   const char* name;
   std::uint64_t seed;
-  bool crashes;
+  ExperimentParams (*params)(std::string, std::uint64_t);
 };
 
 const Cell kCells[] = {
-    {"dqvl", "dqvl", 7, false},
-    {"dqvl", "dqvl", 11, false},
-    {"majority", "majority", 7, false},
-    {"majority", "majority", 11, false},
-    {"dqvl", "dqvl_crash", 13, true},
-    {"dqvl", "dqvl_crash", 29, true},
-    {"majority", "majority_crash", 13, true},
+    {"dqvl", "dqvl", 7, golden_params},
+    {"dqvl", "dqvl", 11, golden_params},
+    {"majority", "majority", 7, golden_params},
+    {"majority", "majority", 11, golden_params},
+    {"dqvl", "dqvl_crash", 13, crash_golden_params},
+    {"dqvl", "dqvl_crash", 29, crash_golden_params},
+    {"majority", "majority_crash", 13, crash_golden_params},
+    {"dqvl", "dqvl_leases", 7, lease_golden_params},
 };
 
 std::vector<std::string> reports_at(std::size_t jobs) {
   std::vector<ExperimentParams> trials;
-  for (const Cell& c : kCells) {
-    trials.push_back(c.crashes ? crash_golden_params(c.proto, c.seed)
-                               : golden_params(c.proto, c.seed));
-  }
+  for (const Cell& c : kCells) trials.push_back(c.params(c.proto, c.seed));
   const auto results = run_experiments(trials, jobs);
   std::vector<std::string> docs;
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -118,7 +136,9 @@ TEST(ParallelRunner, ReportsByteIdenticalAcrossJobCounts) {
 
 TEST(ParallelRunner, ReportsMatchPreRewriteGoldenFiles) {
   // The loss-only goldens pin the pre-event-core-rewrite simulator; the
-  // *_crash goldens pin the durability subsystem's first release.
+  // *_crash goldens pin the durability subsystem's first release; the
+  // *_leases golden pins the renewal-reply paths before the pending-read
+  // index.
   const auto docs = reports_at(8);
   for (std::size_t i = 0; i < std::size(kCells); ++i) {
     // The generator wrote each document with a trailing newline.

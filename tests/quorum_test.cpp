@@ -19,6 +19,21 @@ std::vector<NodeId> nodes(std::size_t n) {
   return out;
 }
 
+// The positions of `ids` in q.members(); every id must be a member.
+template <typename Ids>
+Positions positions(const QuorumSystem& q, const Ids& ids) {
+  Positions out;
+  for (NodeId n : ids) {
+    const auto k = q.position(n);
+    EXPECT_TRUE(k.has_value()) << "node " << n.value() << " is no member";
+    if (k) out.set(*k);
+  }
+  return out;
+}
+Positions positions(const QuorumSystem& q, std::initializer_list<NodeId> ids) {
+  return positions<std::initializer_list<NodeId>>(q, ids);
+}
+
 // ---------------------------------------------------------------------------
 // ThresholdQuorum
 // ---------------------------------------------------------------------------
@@ -57,7 +72,7 @@ TEST(ThresholdQuorum, PickReturnsExactQuorumOfMembers) {
     ASSERT_EQ(picked.size(), 5u);
     std::set<NodeId> uniq(picked.begin(), picked.end());
     EXPECT_EQ(uniq.size(), 5u);
-    EXPECT_TRUE(q->is_quorum(Kind::kRead, uniq));
+    EXPECT_TRUE(q->is_quorum(Kind::kRead, positions(*q, uniq)));
     for (NodeId m : picked) EXPECT_TRUE(q->is_member(m));
   }
 }
@@ -92,11 +107,55 @@ TEST(ThresholdQuorum, PickEventuallyCoversAllMembers) {
 
 TEST(ThresholdQuorum, IsQuorumCountsOnlyMembers) {
   auto q = ThresholdQuorum::majority(nodes(3));  // quorum = 2
-  std::set<NodeId> acked{NodeId(0), NodeId(77), NodeId(88)};
-  EXPECT_FALSE(q->is_quorum(Kind::kRead, acked));
-  acked.insert(NodeId(1));
-  EXPECT_TRUE(q->is_quorum(Kind::kRead, acked));
+  // A non-member has no position, so it cannot be counted.
+  EXPECT_FALSE(q->position(NodeId(77)).has_value());
+  EXPECT_FALSE(q->position(NodeId(88)).has_value());
+  EXPECT_FALSE(q->is_quorum(Kind::kRead, positions(*q, {NodeId(0)})));
+  EXPECT_TRUE(
+      q->is_quorum(Kind::kRead, positions(*q, {NodeId(0), NodeId(1)})));
 }
+
+// Members are numbered out of order and with gaps, so a position is never
+// the node id: the constructor sorts, and position k is the k-th smallest.
+std::vector<NodeId> scattered_nodes(std::size_t n) {
+  std::vector<NodeId> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.emplace_back(static_cast<std::uint32_t>(100 - 7 * i));
+  }
+  return out;
+}
+
+// Every subset of `q`'s members, as positions and as node ids.
+template <typename Check>
+void for_every_subset(const QuorumSystem& q, Check check) {
+  const auto& m = q.members();
+  for (std::uint32_t mask = 0; mask < (1u << m.size()); ++mask) {
+    std::set<NodeId> ids;
+    for (std::size_t k = 0; k < m.size(); ++k) {
+      if ((mask & (1u << k)) != 0) ids.insert(m[k]);
+    }
+    check(Positions(mask), ids);
+  }
+}
+
+TEST(ThresholdQuorum, IsQuorumMatchesAMemberCountOnEverySubset) {
+  for (std::size_t n = 1; n <= 9; ++n) {
+    for (std::size_t r = 1; r <= n; ++r) {
+      for (std::size_t w = 1; w <= n; ++w) {
+        if (r + w <= n || 2 * w <= n) continue;  // not a valid system
+        const ThresholdQuorum q(scattered_nodes(n), r, w);
+        for_every_subset(q, [&](const Positions& acked,
+                                const std::set<NodeId>& ids) {
+          ASSERT_EQ(q.is_quorum(Kind::kRead, acked), ids.size() >= r)
+              << "n=" << n << " r=" << r << " w=" << w;
+          ASSERT_EQ(q.is_quorum(Kind::kWrite, acked), ids.size() >= w)
+              << "n=" << n << " r=" << r << " w=" << w;
+        });
+      }
+    }
+  }
+}
+
 
 // ---------------------------------------------------------------------------
 // GridQuorum
@@ -117,8 +176,7 @@ TEST(GridQuorum, PickedReadQuorumCoversEveryColumn) {
   Rng rng(1);
   for (int i = 0; i < 100; ++i) {
     auto picked = g.pick(Kind::kRead, rng, std::nullopt);
-    std::set<NodeId> s(picked.begin(), picked.end());
-    EXPECT_TRUE(g.is_quorum(Kind::kRead, s));
+    EXPECT_TRUE(g.is_quorum(Kind::kRead, positions(g, picked)));
   }
 }
 
@@ -127,15 +185,14 @@ TEST(GridQuorum, PickedWriteQuorumIsWriteQuorum) {
   Rng rng(1);
   for (int i = 0; i < 100; ++i) {
     auto picked = g.pick(Kind::kWrite, rng, std::nullopt);
-    std::set<NodeId> s(picked.begin(), picked.end());
-    EXPECT_TRUE(g.is_quorum(Kind::kWrite, s));
+    EXPECT_TRUE(g.is_quorum(Kind::kWrite, positions(g, picked)));
   }
 }
 
 TEST(GridQuorum, ReadQuorumIsNotAWriteQuorum) {
   GridQuorum g(nodes(9), 3, 3);
   // One per column but no full column.
-  std::set<NodeId> s{NodeId(0), NodeId(4), NodeId(8)};  // diagonal
+  const auto s = positions(g, {NodeId(0), NodeId(4), NodeId(8)});  // diagonal
   EXPECT_TRUE(g.is_quorum(Kind::kRead, s));
   EXPECT_FALSE(g.is_quorum(Kind::kWrite, s));
 }
@@ -143,11 +200,41 @@ TEST(GridQuorum, ReadQuorumIsNotAWriteQuorum) {
 TEST(GridQuorum, FullColumnAloneIsNotAWriteQuorum) {
   GridQuorum g(nodes(9), 3, 3);
   // Column 0 = nodes 0, 3, 6; covers column 0 only.
-  std::set<NodeId> s{NodeId(0), NodeId(3), NodeId(6)};
-  EXPECT_FALSE(g.is_quorum(Kind::kWrite, s));
-  s.insert(NodeId(1));
-  s.insert(NodeId(2));
-  EXPECT_TRUE(g.is_quorum(Kind::kWrite, s));
+  std::vector<NodeId> s{NodeId(0), NodeId(3), NodeId(6)};
+  EXPECT_FALSE(g.is_quorum(Kind::kWrite, positions(g, s)));
+  s.push_back(NodeId(1));
+  s.push_back(NodeId(2));
+  EXPECT_TRUE(g.is_quorum(Kind::kWrite, positions(g, s)));
+}
+
+TEST(GridQuorum, IsQuorumMatchesRowCoverAndFullColumnOnEverySubset) {
+  for (std::size_t rows = 2; rows <= 3; ++rows) {
+    for (std::size_t cols = 2; cols <= 4; ++cols) {
+      const GridQuorum g(scattered_nodes(rows * cols), rows, cols);
+      // The documented layout, over node ids: the k-th smallest member
+      // sits at (row k / cols, column k % cols).
+      auto cell = [&](std::size_t r, std::size_t c) {
+        return g.members()[r * cols + c];
+      };
+      for_every_subset(g, [&](const Positions& acked,
+                              const std::set<NodeId>& ids) {
+        bool row_cover = true;
+        bool full_column = false;
+        for (std::size_t c = 0; c < cols; ++c) {
+          std::size_t in_column = 0;
+          for (std::size_t r = 0; r < rows; ++r) {
+            in_column += ids.count(cell(r, c));
+          }
+          row_cover = row_cover && in_column > 0;
+          full_column = full_column || in_column == rows;
+        }
+        ASSERT_EQ(g.is_quorum(Kind::kRead, acked), row_cover)
+            << rows << "x" << cols;
+        ASSERT_EQ(g.is_quorum(Kind::kWrite, acked), row_cover && full_column)
+            << rows << "x" << cols;
+      });
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -201,8 +288,8 @@ TEST(Intersection, DetectsNonIntersectingPair) {
   GridQuorum g(nodes(9), 3, 3);
   // Two disjoint read quorums exist (rows of the grid): the checker must
   // also verify write-write, which holds; read-read disjointness is fine.
-  std::set<NodeId> row0{NodeId(0), NodeId(1), NodeId(2)};
-  std::set<NodeId> row1{NodeId(3), NodeId(4), NodeId(5)};
+  const auto row0 = positions(g, {NodeId(0), NodeId(1), NodeId(2)});
+  const auto row1 = positions(g, {NodeId(3), NodeId(4), NodeId(5)});
   EXPECT_TRUE(g.is_quorum(Kind::kRead, row0));
   EXPECT_TRUE(g.is_quorum(Kind::kRead, row1));
 }
