@@ -120,10 +120,11 @@ void IqsServer::on_crash() {
   // In-flight invalidation machines are volatile under either durability
   // model: clients retransmit their writes and the machines are rebuilt.
   engine_.cancel_all();
-  ensures_.clear();
   if (wal_ == nullptr) {
     // Legacy durable fiction: object data and callback/lease state survive
     // as if written through before every ack.
+    objects_.for_each(
+        [](std::uint64_t, ObjState& os) { os.ensure.reset(); });
     return;
   }
   crashed_at_ = world_.now();
@@ -147,13 +148,13 @@ void IqsServer::on_recover() {
   if (wal_ == nullptr) return;  // legacy model: state never left
   // Rebuild the durable image: store contents + logical clock from kPut
   // records, the epoch each (volume, node) pair had reached from kEpoch
-  // records.  Callback state (last_read / last_ack / obj_expires) is NOT
+  // records.  Callback state (last_read and the holders) is NOT
   // recovered -- absent entries are conservative, and the grace window
   // below covers the one case where "absent" would be unsafe.
   wal_->replay([this](const store::WalRecord& r) {
     switch (r.kind) {
       case store::WalRecordKind::kPut: {
-        auto& os = objects_[r.object];
+        auto& os = obj(r.object);
         if (r.clock > os.last_write) {
           os.last_write = r.clock;
           os.value = r.value;
@@ -190,7 +191,7 @@ void IqsServer::on_recover() {
   // epoch mechanism, now load-bearing.
   for (auto& [key, ls] : leases_) advance_epoch(key.first, key.second, ls);
   // Grace window: until every pre-crash volume lease has expired at its
-  // holder, node_safe may not treat absent obj_expires / lease entries as
+  // holder, node_safe may not treat absent holder / lease entries as
   // "holder has no lease" -- those tables were wiped, not empty.  Two
   // padded lease lengths past recovery is safely past the last possible
   // pre-crash grant's expiry under worst-case rate drift.  (With infinite
@@ -226,14 +227,32 @@ void IqsServer::end_recovery_grace() {
   // Writes that spent the grace window blocked on unreachable OQS nodes can
   // now fall back to the lease-expiry cases of node_safe.
   std::vector<ObjectId> affected;
-  for (auto& [o, en] : ensures_) {
-    if (en.call != 0) affected.push_back(o);
-  }
+  objects_.for_each([&affected](std::uint64_t o, const ObjState& os) {
+    if (os.ensure != nullptr && os.ensure->call != 0) affected.emplace_back(o);
+  });
+  std::sort(affected.begin(), affected.end());
   for (ObjectId o : affected) poke_ensure(o);
 }
 
 void IqsServer::reply(const sim::Envelope& to, msg::Payload body) {
   world_.reply(self_, to, std::move(body));
+}
+
+IqsServer::Holder& IqsServer::holder(ObjState& os, NodeId j) {
+  for (Holder& h : os.holders) {
+    if (h.node == j) return h;
+  }
+  Holder& h = os.holders.emplace_back();
+  h.node = j;
+  return h;
+}
+
+const IqsServer::Holder* IqsServer::find_holder(const ObjState& os,
+                                                NodeId j) {
+  for (const Holder& h : os.holders) {
+    if (h.node == j) return &h;
+  }
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +290,9 @@ void IqsServer::handle_write(const sim::Envelope& env, const msg::DqWrite& m) {
 }
 
 void IqsServer::continue_write(const sim::Envelope& env, const msg::DqWrite& m) {
-  auto& en = ensures_[m.object];
+  ObjState& os = obj(m.object);
+  if (os.ensure == nullptr) os.ensure = std::make_unique<Ensure>();
+  Ensure& en = *os.ensure;
   if (m.clock <= en.ensured) {
     // An OQS write quorum is already unable to read anything older.
     m_suppressed_->inc();
@@ -285,7 +306,7 @@ void IqsServer::continue_write(const sim::Envelope& env, const msg::DqWrite& m) 
         return w.src == env.src && w.rpc_id == env.rpc_id;
       });
   if (!duplicate) en.waiters.push_back({env.src, env.rpc_id, m.clock});
-  en.target = std::max(en.target, obj(m.object).last_write);
+  en.target = std::max(en.target, os.last_write);
   if (en.call == 0) {
     // Fresh episode: the phase breakdown measures from the first blocked
     // write until the whole batch is ensured.
@@ -299,8 +320,8 @@ void IqsServer::continue_write(const sim::Envelope& env, const msg::DqWrite& m) 
 void IqsServer::handle_inval_ack(const sim::Envelope& env,
                                  const msg::DqInvalAck& m) {
   auto& os = obj(m.object);
-  auto& slot = os.last_ack[env.src];
-  slot = std::max(slot, m.clock);
+  Holder& h = holder(os, env.src);
+  h.acked = std::max(h.acked, m.clock);
   poke_ensure(m.object);
 }
 
@@ -308,10 +329,10 @@ void IqsServer::handle_inval_ack(const sim::Envelope& env,
 // Ensure machine: make an OQS write quorum unable to read stale data
 // ---------------------------------------------------------------------------
 
-bool IqsServer::node_safe(NodeId j, ObjectId o, LogicalClock lc) {
-  auto& os = obj(o);
-  LogicalClock ack;
-  if (auto it = os.last_ack.find(j); it != os.last_ack.end()) ack = it->second;
+bool IqsServer::node_safe(NodeId j, ObjectId o, const ObjState& os,
+                          LogicalClock lc) {
+  const Holder* h = find_holder(os, j);
+  const LogicalClock ack = h != nullptr ? h->acked : LogicalClock{};
 
   // (a) j acked an invalidation at or above this write's clock.
   if (ack >= lc) return true;
@@ -321,7 +342,7 @@ bool IqsServer::node_safe(NodeId j, ObjectId o, LogicalClock lc) {
   if (cfg_->suppression_enabled && os.last_read < ack) return true;
   // Cases (a'') and (b) read this node's lease bookkeeping and treat an
   // absent or expired entry as "j cannot be serving stale data".  During
-  // the recovery grace window that inference is wrong -- obj_expires and
+  // the recovery grace window that inference is wrong -- the holders and
   // the lease table were wiped by the crash, so absence proves nothing and
   // j may still hold live pre-crash leases.  Both cases are skipped until
   // every pre-crash lease has provably expired; writes fall through to (c)
@@ -334,8 +355,9 @@ bool IqsServer::node_safe(NodeId j, ObjectId o, LogicalClock lc) {
   // object-renewing here, which returns the new value.  No invalidation and
   // no delayed-queue entry are needed.
   if (!grace) {
-    auto it = os.obj_expires.find(j);
-    if (it == os.obj_expires.end() || it->second <= local_now()) return true;
+    if (h == nullptr || !h->leased || h->lease_expires <= local_now()) {
+      return true;
+    }
   }
   // (b) j's volume lease is expired (or was never granted): j cannot serve
   // the object until it renews the volume, at which point it will receive
@@ -360,19 +382,19 @@ bool IqsServer::node_safe(NodeId j, ObjectId o, LogicalClock lc) {
   return false;
 }
 
-bool IqsServer::owq_invalid(ObjectId o, LogicalClock lc) {
+bool IqsServer::owq_invalid(ObjectId o, const ObjState& os, LogicalClock lc) {
   // Ask every member, in order, even past a quorum: node_safe may enqueue
   // a delayed invalidation for it.
   const std::vector<NodeId>& members = cfg_->oqs->members();
   quorum::Positions safe;
   for (std::size_t k = 0; k < members.size(); ++k) {
-    safe.set(k, node_safe(members[k], o, lc));
+    safe.set(k, node_safe(members[k], o, os, lc));
   }
   return cfg_->oqs->is_quorum(quorum::Kind::kWrite, safe);
 }
 
 void IqsServer::start_or_extend_ensure(ObjectId o) {
-  auto& en = ensures_[o];
+  Ensure& en = *obj(o).ensure;
   if (en.call != 0) {
     if (en.target <= en.call_target) {
       engine_.poke(en.call);
@@ -393,10 +415,10 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
       *cfg_->oqs, quorum::Kind::kWrite,
       /*build=*/
       [this, o](NodeId j) -> std::optional<msg::Payload> {
-        auto& en2 = ensures_[o];
-        if (node_safe(j, o, en2.target)) return std::nullopt;
-        en2.sent_invals = true;
-        return msg::DqInval{o, obj(o).last_write};
+        ObjState& os = obj(o);
+        if (node_safe(j, o, os, os.ensure->target)) return std::nullopt;
+        os.ensure->sent_invals = true;
+        return msg::DqInval{o, os.last_write};
       },
       /*on_reply=*/
       [](NodeId, const msg::Payload&) {
@@ -404,9 +426,9 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
       },
       /*done=*/
       [this, o] {
-        auto it = ensures_.find(o);
-        if (it == ensures_.end()) return true;
-        return owq_invalid(o, it->second.target);
+        const ObjState* os = find_obj(o);
+        return os == nullptr || os->ensure == nullptr ||
+               owq_invalid(o, *os, os->ensure->target);
       },
       /*on_complete=*/
       [this, o, completed](bool ok) {
@@ -429,13 +451,13 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
                                      : "write-through obj " +
                                            std::to_string(o.value()));
   }
-  if (!*completed) ensures_[o].call = id;
+  if (!*completed) obj(o).ensure->call = id;
 }
 
 void IqsServer::finish_ensure(ObjectId o) {
-  auto it = ensures_.find(o);
-  if (it == ensures_.end()) return;
-  Ensure& en = it->second;
+  ObjState* os = find_obj(o);
+  if (os == nullptr || os->ensure == nullptr) return;
+  Ensure& en = *os->ensure;
   en.call = 0;
   en.ensured = std::max(en.ensured, en.target);
   // Fold the episode into the write-phase breakdown: suppressed (no
@@ -473,9 +495,9 @@ void IqsServer::finish_ensure(ObjectId o) {
 }
 
 void IqsServer::poke_ensure(ObjectId o) {
-  auto it = ensures_.find(o);
-  if (it != ensures_.end() && it->second.call != 0) {
-    engine_.poke(it->second.call);
+  const ObjState* os = find_obj(o);
+  if (os != nullptr && os->ensure != nullptr && os->ensure->call != 0) {
+    engine_.poke(os->ensure->call);
   }
 }
 
@@ -483,12 +505,14 @@ void IqsServer::poke_volume(VolumeId v) {
   // A lease on v expired: writes blocked on that lease may now complete.
   m_lease_expiries_->inc();
   std::vector<ObjectId> affected;
-  for (auto& [o, en] : ensures_) {
-    if (en.call != 0 && cfg_->volumes.volume_of(o) == v) {
-      en.lease_expiry_involved = true;
-      affected.push_back(o);
+  objects_.for_each([&](std::uint64_t o, ObjState& os) {
+    if (os.ensure != nullptr && os.ensure->call != 0 &&
+        cfg_->volumes.volume_of(ObjectId(o)) == v) {
+      os.ensure->lease_expiry_involved = true;
+      affected.emplace_back(o);
     }
-  }
+  });
+  std::sort(affected.begin(), affected.end());
   for (ObjectId o : affected) poke_ensure(o);
 }
 
@@ -593,8 +617,8 @@ void IqsServer::handle_vol_renew_ack(const sim::Envelope& env,
     if (d->second <= m.applied_up_to) {
       // j confirmed it applied this delayed invalidation: its cached copy is
       // now invalid up to the queued clock -- record the implied ack.
-      auto& slot = obj(d->first).last_ack[env.src];
-      slot = std::max(slot, d->second);
+      Holder& h = holder(obj(d->first), env.src);
+      h.acked = std::max(h.acked, d->second);
       confirmed.push_back(d->first);
       d = ls.delayed.erase(d);
       m_delayed_depth_->add(-1);
@@ -610,10 +634,11 @@ msg::DqObjRenewReply IqsServer::grant_object(NodeId j, ObjectId o,
   auto& os = obj(o);
   os.last_read = os.last_write;
   const sim::Duration dur = padded(cfg_->object_lease_length, cfg_->max_drift);
-  auto& slot = os.obj_expires[j];
+  Holder& h = holder(os, j);
   const sim::Time exp = dur >= sim::kTimeInfinity ? sim::kTimeInfinity
                                                   : local_now() + dur;
-  slot = std::max(slot, exp);
+  h.leased = true;
+  h.lease_expires = std::max(h.lease_expires, exp);
   const VolumeId v = cfg_->volumes.volume_of(o);
   return msg::DqObjRenewReply{o,
                               os.value,
@@ -642,12 +667,18 @@ void IqsServer::handle_vol_fetch(const sim::Envelope& env,
   // this node stores in the volume.  The reply is bounded: a volume with
   // more objects than the cap falls back to per-object renewals for the
   // tail (the requestor's read machine handles those as ordinary misses).
+  // Grants go out in ascending object order.
   constexpr std::size_t kMaxObjectsPerFetch = 1024;
   msg::DqVolFetchReply r;
   r.vol = grant_lease(env.src, m.volume, m.requestor_time);
-  for (const auto& [o, os] : objects_) {
-    if (cfg_->volumes.volume_of(o) != m.volume) continue;
-    if (r.objects.size() >= kMaxObjectsPerFetch) break;
+  std::vector<ObjectId> ids;
+  objects_.for_each([&](std::uint64_t o, const ObjState&) {
+    if (cfg_->volumes.volume_of(ObjectId(o)) == m.volume) ids.emplace_back(o);
+  });
+  std::sort(ids.begin(), ids.end());
+  if (ids.size() > kMaxObjectsPerFetch) ids.resize(kMaxObjectsPerFetch);
+  r.objects.reserve(ids.size());
+  for (ObjectId o : ids) {
     r.objects.push_back(grant_object(env.src, o, m.requestor_time));
   }
   reply(env, std::move(r));
@@ -658,25 +689,25 @@ void IqsServer::handle_vol_fetch(const sim::Envelope& env,
 // ---------------------------------------------------------------------------
 
 LogicalClock IqsServer::last_write_clock(ObjectId o) const {
-  auto it = objects_.find(o);
-  return it == objects_.end() ? LogicalClock{} : it->second.last_write;
+  const ObjState* os = find_obj(o);
+  return os == nullptr ? LogicalClock{} : os->last_write;
 }
 
 LogicalClock IqsServer::last_read_clock(ObjectId o) const {
-  auto it = objects_.find(o);
-  return it == objects_.end() ? LogicalClock{} : it->second.last_read;
+  const ObjState* os = find_obj(o);
+  return os == nullptr ? LogicalClock{} : os->last_read;
 }
 
 LogicalClock IqsServer::last_ack_clock(ObjectId o, NodeId j) const {
-  auto it = objects_.find(o);
-  if (it == objects_.end()) return {};
-  auto jt = it->second.last_ack.find(j);
-  return jt == it->second.last_ack.end() ? LogicalClock{} : jt->second;
+  const ObjState* os = find_obj(o);
+  if (os == nullptr) return {};
+  const Holder* h = find_holder(*os, j);
+  return h == nullptr ? LogicalClock{} : h->acked;
 }
 
 Value IqsServer::value_of(ObjectId o) const {
-  auto it = objects_.find(o);
-  return it == objects_.end() ? Value{} : it->second.value;
+  const ObjState* os = find_obj(o);
+  return os == nullptr ? Value{} : os->value;
 }
 
 msg::Epoch IqsServer::epoch_of(VolumeId v, NodeId j) const {

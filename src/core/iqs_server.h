@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "common/ids.h"
 #include "common/version.h"
 #include "core/config.h"
@@ -68,7 +69,9 @@ class IqsServer {
   // Number of in-flight invalidation machines (writes not yet safe).
   [[nodiscard]] std::size_t pending_ensures() const {
     std::size_t n = 0;
-    for (const auto& [o, en] : ensures_) n += en.call != 0 ? 1 : 0;
+    objects_.for_each([&n](std::uint64_t, const ObjState& os) {
+      n += os.ensure != nullptr && os.ensure->call != 0 ? 1 : 0;
+    });
     return n;
   }
   // Inside the post-recovery window where node_safe may not trust its
@@ -79,18 +82,6 @@ class IqsServer {
   [[nodiscard]] store::Wal* wal() { return wal_.get(); }
 
  private:
-  struct ObjState {
-    LogicalClock last_write;
-    LogicalClock last_read;
-    Value value;
-    std::map<NodeId, LogicalClock> last_ack;
-    // When each OQS node's object lease expires (padded local time).
-    // Absent or past => that node holds no usable object lease from this
-    // node and needs no invalidation.  With infinite object leases
-    // (callbacks, the paper's default) a grant never expires.
-    std::map<NodeId, sim::Time> obj_expires;
-  };
-
   struct LeaseState {
     sim::Time expires = 0;            // local time, padded
     msg::Epoch epoch = 0;
@@ -118,6 +109,32 @@ class IqsServer {
     bool lease_expiry_involved = false;
   };
 
+  // What this node knows of OQS node j's copy of one object.  A node
+  // without an entry has acked nothing (clock 0) and holds no object lease.
+  struct Holder {
+    LogicalClock acked;  // lastAckLC_o[j]
+    // When j's object lease expires (padded local time), if j was ever
+    // granted one.  Absent or past => j holds no usable object lease from
+    // this node and needs no invalidation.  With infinite object leases
+    // (callbacks, the paper's default) a grant never expires.
+    sim::Time lease_expires = 0;
+    NodeId node;
+    bool leased = false;
+  };
+
+  // One object's record: its value, its callback state, and the ensure
+  // machine of its writes.
+  struct ObjState {
+    LogicalClock last_write;
+    LogicalClock last_read;
+    Value value;
+    // Sparse, in arrival order: only OQS nodes that acked an invalidation
+    // of the object or renewed it here (about 1.3 per object).
+    std::vector<Holder> holders;
+    // Created by the object's first write; most objects are only read.
+    std::unique_ptr<Ensure> ensure;
+  };
+
   // --- message handlers ----------------------------------------------------
   void handle_lc_read(const sim::Envelope& env, const msg::DqLcRead& m);
   void handle_write(const sim::Envelope& env, const msg::DqWrite& m);
@@ -135,10 +152,10 @@ class IqsServer {
   void handle_vol_fetch(const sim::Envelope& env, const msg::DqVolFetch& m);
 
   // --- ensure machine (invalidate an OQS write quorum) ---------------------
-  // Is OQS node j guaranteed unable to serve a version of o older than lc?
+  // Is OQS node j guaranteed unable to serve a version of os older than lc?
   // May lazily enqueue a delayed invalidation when j's lease is expired.
-  bool node_safe(NodeId j, ObjectId o, LogicalClock lc);
-  bool owq_invalid(ObjectId o, LogicalClock lc);
+  bool node_safe(NodeId j, ObjectId o, const ObjState& os, LogicalClock lc);
+  bool owq_invalid(ObjectId o, const ObjState& os, LogicalClock lc);
   void start_or_extend_ensure(ObjectId o);
   void finish_ensure(ObjectId o);
   void poke_ensure(ObjectId o);
@@ -158,7 +175,18 @@ class IqsServer {
   void advance_epoch(VolumeId v, NodeId j, LeaseState& ls);
   void end_recovery_grace();
 
-  ObjState& obj(ObjectId o) { return objects_[o]; }
+  // o's record, created empty on first use.
+  ObjState& obj(ObjectId o) { return objects_[o.value()]; }
+  // j's entry in os.holders, created empty on first use.
+  static Holder& holder(ObjState& os, NodeId j);
+  [[nodiscard]] static const Holder* find_holder(const ObjState& os,
+                                                 NodeId j);
+  [[nodiscard]] ObjState* find_obj(ObjectId o) {
+    return objects_.find(o.value());
+  }
+  [[nodiscard]] const ObjState* find_obj(ObjectId o) const {
+    return objects_.find(o.value());
+  }
   [[nodiscard]] sim::Time local_now() const {
     return world_.local_now(self_);
   }
@@ -192,13 +220,14 @@ class IqsServer {
   static constexpr std::uint64_t kClockBlock = 64;
   std::uint64_t clock_reserved_ = 0;
   void reserve_clock();
-  // Ordered maps throughout: handle_vol_fetch walks objects_ (grant order is
-  // on the wire) and poke_volume walks ensures_ (poke order shapes the event
-  // schedule), so iteration order must not depend on a hash implementation
-  // (dqlint rule `det-unordered-container`).
-  std::map<ObjectId, ObjState> objects_;
+  // Object records are found by id through a lookup-only index.  A walk
+  // whose order reaches the wire or the event schedule -- handle_vol_fetch's
+  // grants, the pokes of poke_volume and end_recovery_grace -- collects ids
+  // and sorts them, so no order depends on the index or on creation order.
+  FlatTable<ObjState> objects_;
+  // Ordered: on_crash and on_recover walk it, and recovery's epoch records
+  // go to the WAL in this order.
   std::map<std::pair<VolumeId, NodeId>, LeaseState> leases_;
-  std::map<ObjectId, Ensure> ensures_;
 
   // Instruments (registered once in the constructor; see obs/metrics.h).
   obs::Counter* m_load_;          // iqs.load.n<id>: requests this node handled

@@ -90,9 +90,8 @@ bool OqsServer::on_message(const sim::Envelope& env) {
 void OqsServer::on_crash() {
   // Everything here is a cache; the protocol re-derives it via renewals.
   engine_.cancel_all();
-  store_.clear();
-  obj_state_.clear();
-  vol_state_.clear();
+  objects_.clear();
+  vol_leases_.clear();
   pending_.clear();
   pending_index_.clear();
   proactive_active_.clear();
@@ -106,22 +105,39 @@ void OqsServer::on_recover() {
 }
 
 // ---------------------------------------------------------------------------
+// Records
+// ---------------------------------------------------------------------------
+
+OqsServer::ObjRecord& OqsServer::obj(ObjectId o) {
+  ObjRecord& rec = objects_[o.value()];
+  if (rec.grants.empty()) rec.grants.resize(cfg_->iqs->size());
+  return rec;
+}
+
+std::size_t OqsServer::iqs_pos(NodeId i) const {
+  const auto pos = cfg_->iqs->position(i);
+  DQ_INVARIANT(pos.has_value(), "lease state from a non-IQS node");
+  return *pos;
+}
+
+// ---------------------------------------------------------------------------
 // Condition C
 // ---------------------------------------------------------------------------
 
 bool OqsServer::volume_lease_valid(VolumeId v, NodeId i) const {
-  auto it = vol_state_.find({v, i});
-  return it != vol_state_.end() && it->second.expires > local_now();
+  const auto pos = cfg_->iqs->position(i);
+  const PerIqsVol* vs = pos ? vol_leases_.find(vol_key(v, *pos)) : nullptr;
+  return vs != nullptr && vs->expires > local_now();
 }
 
 bool OqsServer::object_lease_valid(ObjectId o, NodeId i) const {
-  auto ot = obj_state_.find(o);
-  if (ot == obj_state_.end()) return false;
-  auto it = ot->second.find(i);
-  if (it == ot->second.end()) return false;
-  auto vt = vol_state_.find({cfg_->volumes.volume_of(o), i});
-  const msg::Epoch vol_epoch = vt == vol_state_.end() ? 0 : vt->second.epoch;
-  return grant_counts(it->second, vol_epoch, local_now());
+  const auto pos = cfg_->iqs->position(i);
+  const ObjRecord* rec = objects_.find(o.value());
+  if (!pos || rec == nullptr) return false;
+  const PerIqsVol* vs =
+      vol_leases_.find(vol_key(cfg_->volumes.volume_of(o), *pos));
+  return grant_counts(rec->grants[*pos], vs == nullptr ? 0 : vs->epoch,
+                      local_now());
 }
 
 bool OqsServer::grant_counts(const PerIqsObj& st, msg::Epoch vol_epoch,
@@ -131,19 +147,16 @@ bool OqsServer::grant_counts(const PerIqsObj& st, msg::Epoch vol_epoch,
 }
 
 bool OqsServer::condition_c(ObjectId o) const {
-  auto ot = obj_state_.find(o);
-  if (ot == obj_state_.end()) return false;  // no grants: no read quorum
+  const ObjRecord* rec = objects_.find(o.value());
+  if (rec == nullptr) return false;  // no grants: no read quorum
   const VolumeId v = cfg_->volumes.volume_of(o);
   const sim::Time now = local_now();
-  const std::vector<NodeId>& members = cfg_->iqs->members();
-  // Mark each IQS member holding both leases, with one lookup each.
+  // Mark each IQS member holding both leases.
   quorum::Positions held;
-  for (std::size_t k = 0; k < members.size(); ++k) {
-    auto vt = vol_state_.find({v, members[k]});
-    if (vt == vol_state_.end() || vt->second.expires <= now) continue;
-    auto it = ot->second.find(members[k]);
-    held.set(k, it != ot->second.end() &&
-                    grant_counts(it->second, vt->second.epoch, now));
+  for (std::size_t k = 0; k < rec->grants.size(); ++k) {
+    const PerIqsVol* vs = vol_leases_.find(vol_key(v, k));
+    if (vs == nullptr || vs->expires <= now) continue;
+    held.set(k, grant_counts(rec->grants[k], vs->epoch, now));
   }
   return cfg_->iqs->is_quorum(quorum::Kind::kRead, held);
 }
@@ -176,19 +189,21 @@ void OqsServer::handle_read(const sim::Envelope& env, const msg::DqRead& m) {
 }
 
 void OqsServer::reply_to_read(const PendingRead& pr) {
-  // Value: highest-clock update received (store keeps exactly that).  Clock:
-  // max logicalClock_{o,i} over IQS nodes with valid_{o,i} (Figure 5).
+  // Value: highest-clock update received (the record keeps exactly that).
+  // Clock: max logicalClock_{o,i} over IQS nodes with valid_{o,i}
+  // (Figure 5).
   LogicalClock lc;
-  if (auto ot = obj_state_.find(pr.object); ot != obj_state_.end()) {
-    for (const auto& [i, st] : ot->second) {
+  Value value;
+  if (const ObjRecord* rec = objects_.find(pr.object.value())) {
+    for (const PerIqsObj& st : rec->grants) {
       if (st.valid) lc = std::max(lc, st.clock);
     }
+    value = rec->cached.value;
   }
-  const VersionedValue vv = store_.get(pr.object);
   // dqlint:allow(proto-direct-send): deferred reply tagged with the original
   // rpc id -- the reply path for a handler that no longer holds the envelope.
   world_.send_tagged(self_, pr.src, pr.rpc_id,
-                     msg::DqReadReply{pr.object, vv.value, lc},
+                     msg::DqReadReply{pr.object, std::move(value), lc},
                      /*is_reply=*/true);
 }
 
@@ -293,7 +308,7 @@ void OqsServer::apply_vol_renew_reply(NodeId i, const msg::DqVolRenewReply& r,
                                       Granted& granted,
                                       std::vector<msg::DqVolRenewAck>*
                                           batch_acks) {
-  auto& vs = vol_state_[{r.volume, i}];
+  PerIqsVol& vs = vol_leases_[vol_key(r.volume, iqs_pos(i))];
   // Extending a lease that is still valid, under the same epoch, leaves
   // condition C as it was; opening one or moving the epoch can complete
   // reads on any object of the volume.
@@ -328,7 +343,8 @@ void OqsServer::apply_vol_renew_reply(NodeId i, const msg::DqVolRenewReply& r,
 void OqsServer::apply_obj_renew_reply(NodeId i, const msg::DqObjRenewReply& r,
                                       Granted& granted) {
   granted.objects.push_back(r.object);
-  auto& st = obj_state_[r.object][i];
+  ObjRecord& rec = obj(r.object);
+  PerIqsObj& st = rec.grants[iqs_pos(i)];
   st.epoch = msg::epoch_max(st.epoch, r.epoch);
   if (st.clock <= r.clock) {
     st.clock = r.clock;
@@ -343,12 +359,14 @@ void OqsServer::apply_obj_renew_reply(NodeId i, const msg::DqObjRenewReply& r,
                                     : st.expires,
                                 r.requestor_time + eff);
     // Keep value_o at the highest clock seen in any update.
-    store_.apply(r.object, r.value, r.clock);
+    if (rec.cached.clock < r.clock) {
+      rec.cached = VersionedValue{r.value, r.clock};
+    }
   }
 }
 
 void OqsServer::apply_invalidation(NodeId i, ObjectId o, LogicalClock lc) {
-  auto& st = obj_state_[o][i];
+  PerIqsObj& st = obj(o).grants[iqs_pos(i)];
   if (lc > st.clock) {
     st.clock = lc;
     st.valid = false;
@@ -393,16 +411,26 @@ void OqsServer::run_batched_renewal_round() {
   // holds (or held) a lease on from that member.  Rounds run every third of
   // a lease, so a lease is refreshed at least two-thirds of a lease before
   // expiry -- comfortably ahead of renewal round trips and drift.
-  std::map<NodeId, msg::DqVolRenewBatch> batches;
-  for (const auto& [key, vs] : vol_state_) {
-    const auto& [v, i] = key;
-    batches[i].renewals.push_back({v, local_now()});
-  }
-  for (auto& [i, batch] : batches) {
+  // Batches go out by IQS position (ascending node id), each listing its
+  // volumes in ascending order.
+  std::vector<std::pair<std::size_t, VolumeId>> held;
+  held.reserve(vol_leases_.size());
+  vol_leases_.for_each([&held](std::uint64_t key, const PerIqsVol&) {
+    held.emplace_back(key & 0xFFFFFFFFu,
+                      VolumeId(static_cast<std::uint32_t>(key >> 32)));
+  });
+  std::sort(held.begin(), held.end());
+  for (std::size_t a = 0; a < held.size();) {
+    const std::size_t pos = held[a].first;
+    msg::DqVolRenewBatch batch;
+    for (; a < held.size() && held[a].first == pos; ++a) {
+      batch.renewals.push_back({held[a].second, local_now()});
+    }
     // dqlint:allow(proto-direct-send): periodic fire-and-forget renewal
     // batch; replies route through on_message and a lost round is retried
     // by the next timer tick, so QRPC would only duplicate that machinery.
-    world_.send(self_, i, RequestId(0), std::move(batch));
+    world_.send(self_, cfg_->iqs->members()[pos], RequestId(0),
+                std::move(batch));
   }
   const sim::Duration period = std::max<sim::Duration>(
       conservative_lease(cfg_->lease_length) / 3, sim::milliseconds(1));
@@ -430,10 +458,10 @@ void OqsServer::maybe_schedule_proactive_renewal(VolumeId v) {
         [this, v](NodeId i) -> std::optional<msg::Payload> {
           // Renew from everyone we will count on; skip nodes whose lease is
           // still comfortably fresh (more than half the lease remaining).
-          auto it = vol_state_.find({v, i});
+          const PerIqsVol* vs = vol_leases_.find(vol_key(v, iqs_pos(i)));
           const sim::Time fresh_until =
               local_now() + conservative_lease(cfg_->lease_length) / 2;
-          if (it != vol_state_.end() && it->second.expires > fresh_until) {
+          if (vs != nullptr && vs->expires > fresh_until) {
             return std::nullopt;
           }
           return msg::DqVolRenew{v, local_now()};

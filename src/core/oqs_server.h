@@ -20,13 +20,13 @@
 #include <tuple>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "common/ids.h"
 #include "common/version.h"
 #include "core/config.h"
 #include "msg/wire.h"
 #include "rpc/qrpc.h"
 #include "sim/world.h"
-#include "store/object_store.h"
 
 namespace dq::core {
 
@@ -53,7 +53,8 @@ class OqsServer {
   [[nodiscard]] bool volume_lease_valid(VolumeId v, NodeId i) const;
   [[nodiscard]] bool object_lease_valid(ObjectId o, NodeId i) const;
   [[nodiscard]] VersionedValue cached(ObjectId o) const {
-    return store_.get(o);
+    const ObjRecord* rec = objects_.find(o.value());
+    return rec == nullptr ? VersionedValue{} : rec->cached;
   }
   [[nodiscard]] std::size_t pending_reads() const { return pending_.size(); }
   // The object of every pending read, in arrival order.
@@ -66,6 +67,12 @@ class OqsServer {
     bool valid = false;          // valid_{o,i}
     // Object-lease expiry (local clock); kTimeInfinity for callbacks.
     sim::Time expires = sim::kTimeInfinity;
+  };
+  // One object's record: value_o at its clock, and the grant state from
+  // each IQS member, by its position in cfg.iqs->members().
+  struct ObjRecord {
+    VersionedValue cached;
+    std::vector<PerIqsObj> grants;
   };
   struct PerIqsVol {
     msg::Epoch epoch = 0;        // epoch_{v,i}
@@ -110,6 +117,14 @@ class OqsServer {
   [[nodiscard]] sim::Time local_now() const {
     return world_.local_now(self_);
   }
+  // o's record, created with one empty grant per IQS member.
+  ObjRecord& obj(ObjectId o);
+  // The volume-lease table's key for (v, IQS position).
+  [[nodiscard]] static std::uint64_t vol_key(VolumeId v, std::size_t iqs_pos) {
+    return (std::uint64_t{v.value()} << 32) | iqs_pos;
+  }
+  // The position of IQS member i (state from anyone else is a bug).
+  [[nodiscard]] std::size_t iqs_pos(NodeId i) const;
   [[nodiscard]] sim::Duration conservative_lease(sim::Duration granted) const;
   // Does object grant `st` count at local time `now`, given the epoch of
   // the volume lease held from the same IQS node?
@@ -121,12 +136,11 @@ class OqsServer {
   std::shared_ptr<const DqConfig> cfg_;
   rpc::QrpcEngine engine_;
 
-  store::ObjectStore store_;  // value_o
-  // Ordered, not hashed: per-IQS state is walked by reply_to_read, and a
-  // hash-ordered walk would tie behaviour to the standard-library
-  // implementation (dqlint rule `det-unordered-container`).
-  std::map<ObjectId, std::map<NodeId, PerIqsObj>> obj_state_;
-  std::map<std::pair<VolumeId, NodeId>, PerIqsVol> vol_state_;
+  // Records are found through lookup-only indexes: objects by id, volume
+  // leases by vol_key (volume, IQS position).  The one walk whose order
+  // reaches the wire, run_batched_renewal_round's, sorts what it collects.
+  FlatTable<ObjRecord> objects_;
+  FlatTable<PerIqsVol> vol_leases_;
   std::map<std::uint64_t, PendingRead> pending_;
   // The keys of pending_ by (volume, object), so a reply finds the reads it
   // can complete without walking every pending read.

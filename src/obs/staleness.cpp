@@ -10,7 +10,7 @@ void StalenessTracker::add_write(std::uint64_t object, std::int64_t commit_time,
                                  const LogicalClock& clock) {
   DQ_INVARIANT(!sealed_, "StalenessTracker: add_write after seal");
   ObjectLog& log = objects_[object];
-  log.by_commit.push_back({commit_time, clock});
+  log.by_commit.push_back({commit_time, clock, LogicalClock{}});
   // Duplicate versions (a replayed write acked twice) keep the earliest
   // commit time -- the conservative choice for the age computation.
   auto [it, inserted] = log.commit_of.emplace(clock, commit_time);

@@ -23,11 +23,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "common/ids.h"
 #include "msg/wire.h"
 #include "quorum/quorum.h"
@@ -44,7 +44,8 @@ struct QrpcOptions {
   sim::Duration deadline = sim::kTimeInfinity;
 };
 
-// Identifies an in-flight call, for cancellation.
+// Identifies an in-flight call, for cancellation: (generation << 32) | slot.
+// Never 0, so callers can use 0 for "no call".
 using CallId = std::uint64_t;
 
 class QrpcEngine {
@@ -96,7 +97,7 @@ class QrpcEngine {
   void cancel(CallId id);
   void cancel_all();
 
-  [[nodiscard]] std::size_t inflight() const { return calls_.size(); }
+  [[nodiscard]] std::size_t inflight() const { return live_; }
 
  private:
   struct Call {
@@ -105,25 +106,49 @@ class QrpcEngine {
     quorum::Kind kind{};
     BuildRequest build;
     OnReply reply_cb;
-    Done done;
+    Done done;  // empty for call(): complete once a `kind` quorum replied
     OnComplete complete_cb;
     QrpcOptions opts;
     sim::Duration cur_timeout = 0;
     sim::Time deadline_at = sim::kTimeInfinity;
     quorum::Positions responded;  // members that have replied
     sim::TimerToken retry_timer;
+    std::uint32_t gen = 1;  // bumped when the slot is freed
+    bool live = false;
   };
 
+  // The live call `id` names, or null: finished, cancelled, or a stale id
+  // whose slot now holds a newer call.
+  Call* find(CallId id);
+  Call& at(std::uint32_t slot) {
+    return chunks_[slot / kChunkCalls][slot % kChunkCalls];
+  }
+  [[nodiscard]] static CallId id_of(const Call& c, std::uint32_t slot) {
+    return (static_cast<CallId>(c.gen) << 32) | slot;
+  }
+  [[nodiscard]] static bool satisfied(const Call& c) {
+    return c.done ? c.done() : c.system->is_quorum(c.kind, c.responded);
+  }
   void transmit_round(CallId id);
   void arm_retry(CallId id);
+  void on_retry_timer(CallId id);
   void finish(CallId id, bool success);
   void check_done(CallId id);
+  // Drop the call in `slot` (it must be live) and free the slot.
+  void release(std::uint32_t slot);
 
   sim::World& world_;
   NodeId self_;
-  CallId next_call_ = 1;
-  std::map<CallId, Call> calls_;
-  std::map<std::uint64_t, CallId> by_rpc_id_;
+  // Calls live in a slab of fixed-size chunks that never move, so a Call
+  // stays put while a callback starts new calls.  Callbacks may still end
+  // calls, so code re-finds a call by id after invoking one.  A reply's rpc
+  // id finds its slot through the index.
+  static constexpr std::uint32_t kChunkCalls = 64;
+  std::vector<std::unique_ptr<Call[]>> chunks_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint32_t num_slots_ = 0;
+  std::size_t live_ = 0;
+  FlatIndex slot_of_rpc_;
   // Engine-shared instruments (one set of names across all nodes; the
   // registry hands every engine the same underlying counters).
   obs::Counter* m_calls_;

@@ -202,6 +202,23 @@ TEST_F(IqsHarness, DuplicateWriteRetransmissionGetsSingleOutcome) {
   EXPECT_EQ(iqs->value_of(ObjectId(1)), "v1");
 }
 
+TEST_F(IqsHarness, VolFetchGrantsInAscendingObjectOrder) {
+  // Grant order is on the wire: it must follow object ids, not the order in
+  // which the objects arrived.
+  std::uint64_t rpc = 2000;
+  for (std::uint64_t o : {9, 3, 7, 1}) {
+    inject(kProbe, msg::DqWrite{ObjectId(o), "v", {o, 1}}, rpc++);
+  }
+  inject(kOqsA, msg::DqVolFetch{VolumeId(0), 0});
+  auto replies = capture_a.of<msg::DqVolFetchReply>();
+  ASSERT_EQ(replies.size(), 1u);
+  std::vector<std::uint64_t> granted;
+  for (const msg::DqObjRenewReply& g : replies[0].objects) {
+    granted.push_back(g.object.value());
+  }
+  EXPECT_EQ(granted, (std::vector<std::uint64_t>{1, 3, 7, 9}));
+}
+
 TEST_F(IqsHarness, EpochBumpOnlyWhenLeaseExpired) {
   // Fill the delayed queue beyond any bound while the lease is valid: the
   // epoch must NOT advance (j could still be serving under it).

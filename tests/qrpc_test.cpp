@@ -1,6 +1,6 @@
 // QRPC engine tests: quorum completion, retransmission to fresh quorums
 // under loss and dead nodes, deadlines, pokes, per-node request builders,
-// and loopback request/reply discrimination.
+// loopback request/reply discrimination, and the call slab's edge cases.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -257,6 +257,131 @@ TEST_F(QrpcTest, LoopbackRequestIsNotMistakenForReply) {
                        msg::MajRead{ObjectId(1)}, /*is_reply=*/false};
   EXPECT_FALSE(engine->on_reply(forged));
   EXPECT_FALSE(completed);
+}
+
+TEST_F(QrpcTest, OneWayReplyWithRpcZeroIsNotConsumed) {
+  // Replies to one-way traffic (renewal batches) carry rpc id 0 with
+  // is_reply set.  No call owns rpc id 0, however many are in flight.
+  int completed = 0;
+  for (int i = 0; i < 3; ++i) {
+    engine->call(
+        *system, Kind::kRead,
+        [](NodeId) -> std::optional<msg::Payload> {
+          return msg::MajRead{ObjectId(1)};
+        },
+        [](NodeId, const msg::Payload&) {}, [&](bool ok) { completed += ok; });
+  }
+  ASSERT_EQ(engine->inflight(), 3u);
+  sim::Envelope one_way{NodeId(0), NodeId(kServers), RequestId(0),
+                        msg::MajReadReply{ObjectId(1), "v", {1, 1}},
+                        /*is_reply=*/true};
+  EXPECT_FALSE(engine->on_reply(one_way));
+  EXPECT_EQ(engine->inflight(), 3u);
+  world->run_for(sim::seconds(1));
+  EXPECT_EQ(completed, 3);
+  EXPECT_EQ(engine->inflight(), 0u);
+}
+
+TEST_F(QrpcTest, StaleIdLeavesTheSlotsNextCallAlone) {
+  // Call A finishes; call B takes its slot.  A's id must no longer reach
+  // the slot: poking or cancelling A leaves B in flight and untouched.
+  bool a_ready = false, a_done = false;
+  const CallId a = engine->call_until(
+      *system, Kind::kRead,
+      [](NodeId) -> std::optional<msg::Payload> { return std::nullopt; },
+      [](NodeId, const msg::Payload&) {}, [&] { return a_ready; },
+      [&](bool ok) { a_done = ok; });
+  a_ready = true;
+  engine->poke(a);
+  ASSERT_TRUE(a_done);
+
+  bool b_ready = false, b_done = false;
+  int b_evals = 0;
+  const CallId b = engine->call_until(
+      *system, Kind::kRead,
+      [](NodeId) -> std::optional<msg::Payload> { return std::nullopt; },
+      [](NodeId, const msg::Payload&) {},
+      [&] {
+        ++b_evals;
+        return b_ready;
+      },
+      [&](bool ok) { b_done = ok; });
+  EXPECT_NE(a, 0u);
+  EXPECT_NE(b, a);
+  EXPECT_EQ(static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(a))
+      << "B should reuse A's slot";
+  b_ready = true;  // B would complete if its predicate were evaluated
+  const int evals = b_evals;
+  engine->poke(a);
+  engine->cancel(a);
+  EXPECT_EQ(b_evals, evals);
+  EXPECT_FALSE(b_done);
+  EXPECT_EQ(engine->inflight(), 1u);
+  engine->poke(b);
+  EXPECT_TRUE(b_done);
+  EXPECT_EQ(engine->inflight(), 0u);
+}
+
+TEST_F(QrpcTest, CompletionsThatStartCallsGrowTheSlab) {
+  // A completion that starts many calls grows the slab while the engine is
+  // inside on_reply (first) and inside poke (second).  Every call started
+  // completes; the ones left waiting are dropped by cancel_all.
+  constexpr int kFanOut = 150;  // more than a slab chunk
+  int started = 0, completed = 0;
+  auto classic = [&] {
+    ++started;
+    engine->call(
+        *system, Kind::kRead,
+        [](NodeId) -> std::optional<msg::Payload> {
+          return msg::MajRead{ObjectId(1)};
+        },
+        [](NodeId, const msg::Payload&) {}, [&](bool ok) { completed += ok; });
+  };
+  bool from_reply = false;
+  ++started;
+  engine->call(
+      *system, Kind::kRead,
+      [](NodeId) -> std::optional<msg::Payload> {
+        return msg::MajRead{ObjectId(1)};
+      },
+      [](NodeId, const msg::Payload&) {},
+      [&](bool ok) {
+        completed += ok;
+        from_reply = true;
+        for (int i = 0; i < kFanOut; ++i) classic();
+      });
+  bool poked_ready = false;
+  ++started;
+  const CallId poked = engine->call_until(
+      *system, Kind::kRead,
+      [](NodeId) -> std::optional<msg::Payload> { return std::nullopt; },
+      [](NodeId, const msg::Payload&) {}, [&] { return poked_ready; },
+      [&](bool ok) {
+        completed += ok;
+        for (int i = 0; i < kFanOut; ++i) classic();
+      });
+  world->run_for(sim::seconds(1));
+  ASSERT_TRUE(from_reply);
+  poked_ready = true;
+  engine->poke(poked);
+  world->run_for(sim::seconds(1));
+  EXPECT_EQ(started, 2 + 2 * kFanOut);
+  EXPECT_EQ(completed, started);
+  EXPECT_EQ(engine->inflight(), 0u);
+
+  // Calls that never complete on their own: cancel_all drops every one.
+  for (int i = 0; i < kFanOut; ++i) {
+    engine->call_until(
+        *system, Kind::kRead,
+        [](NodeId) -> std::optional<msg::Payload> { return std::nullopt; },
+        [](NodeId, const msg::Payload&) {}, [] { return false; },
+        [](bool) { ADD_FAILURE() << "a cancelled call must not complete"; });
+  }
+  EXPECT_EQ(engine->inflight(), static_cast<std::size_t>(kFanOut));
+  engine->cancel_all();
+  EXPECT_EQ(engine->inflight(), 0u);
+  EXPECT_EQ(world->metrics().gauge("qrpc.inflight").value(), 0);
+  world->run_for(sim::seconds(30));
 }
 
 }  // namespace
