@@ -49,7 +49,7 @@ Probe probe(bool prefetch, std::size_t objects) {
     dep.oqs_server(s0)->prefetch(VolumeId(0), [&](bool) { done = true; });
     spin(done);
   }
-  Summary reads;
+  obs::HistogramData reads;
   for (std::uint64_t k = 0; k < objects; ++k) {
     bool done = false;
     const sim::Time t0 = w.now();

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     const auto& r = results[i];
     row({cfgs[i].name, fmt(r.read_ms.mean(), 1),
-         fmt(r.read_ms.percentile(99), 1), fmt(r.messages_per_request, 1),
+         fmt(r.read_ms.quantile(0.99), 1), fmt(r.messages_per_request, 1),
          fmt(r.bytes_per_request, 0)},
         18);
   }

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     row({workload::protocol_name(proto), fmt(r.read_ms.mean()),
          fmt(r.write_ms.mean()), fmt(r.all_ms.mean()),
-         fmt(r.all_ms.p99()), std::to_string(r.violations.size())});
+         fmt(r.all_ms.quantile(0.99)), std::to_string(r.violations.size())});
     if (proto == "dqvl") dqvl_read = r.read_ms.mean();
     if (proto == "pb") pb_read = r.read_ms.mean();
     if (proto == "majority") maj_read = r.read_ms.mean();

@@ -38,8 +38,8 @@ void run_one(std::string proto) {
 
   std::printf("%-16s reads: mean %6.1f ms  p50 %6.1f  p99 %6.1f   "
               "writes: mean %6.1f ms\n",
-              protocol_name(proto), r.read_ms.mean(), r.read_ms.percentile(50),
-              r.read_ms.percentile(99), r.write_ms.mean());
+              protocol_name(proto), r.read_ms.mean(), r.read_ms.quantile(0.50),
+              r.read_ms.quantile(0.99), r.write_ms.mean());
   std::printf("%-16s consistency violations: %zu, messages/request: %.1f\n",
               "", r.violations.size(), r.messages_per_request);
   if (proto == "dqvl") {

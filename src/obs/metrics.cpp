@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 namespace dq::obs {
 
@@ -11,36 +13,65 @@ namespace detail {
 thread_local std::uint32_t t_current_lane = 0;
 }  // namespace detail
 
-double HistogramData::bucket_upper_ms(std::size_t i) {
-  double ub = kFirstUpperMs;
-  for (std::size_t k = 0; k < i; ++k) ub *= 2.0;
-  return ub;
+std::size_t HistogramData::bucket_index(double v_ms) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << kTopBits;
+  const double ns_d = v_ms * 1e6;
+  if (!(ns_d > 0.0)) return 0;
+  const std::uint64_t ns =
+      ns_d < static_cast<double>(kTop)
+          ? std::min(static_cast<std::uint64_t>(std::llround(ns_d)), kTop - 1)
+          : kTop - 1;
+  // ns lies in [2^k, 2^(k+1)), or below 2^(kSubBits+1) for k = kSubBits,
+  // where the sub-buckets are 1 ns wide and the index is ns itself.
+  const int k = std::bit_width(ns | kSubBuckets) - 1;
+  return (static_cast<std::size_t>(k - kSubBits + 1) << kSubBits) +
+         static_cast<std::size_t>(ns >> (k - kSubBits)) - kSubBuckets;
 }
 
-std::size_t HistogramData::bucket_index(double v_ms) {
-  std::size_t i = 0;
-  double ub = kFirstUpperMs;
-  while (v_ms > ub && i + 1 < kBuckets) {
-    ub *= 2.0;
-    ++i;
+std::uint64_t HistogramData::bucket_lower_ns(std::size_t i) {
+  const std::size_t major = i >> kSubBits;
+  if (major == 0) return i;
+  return (kSubBuckets + (i & (kSubBuckets - 1))) << (major - 1);
+}
+
+std::uint64_t HistogramData::bucket_width_ns(std::size_t i) {
+  const std::size_t major = i >> kSubBits;
+  return major == 0 ? 1 : std::uint64_t{1} << (major - 1);
+}
+
+void HistogramData::add(double v_ms) {
+  if (count == 0) {
+    if (buckets.empty()) buckets.assign(kBuckets, 0);
+    min = v_ms;
+    max = v_ms;
+  } else {
+    min = std::min(min, v_ms);
+    max = std::max(max, v_ms);
   }
-  return i;
+  ++count;
+  sum += v_ms;
+  ++buckets[bucket_index(v_ms)];
 }
 
 double HistogramData::quantile(double q) const {
   if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
   if (q <= 0.0) return min;
   if (q >= 1.0) return max;
   const double target = q * static_cast<double>(count);
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (static_cast<double>(seen) >= target) {
-      // Clamp the bucket upper bound into the observed range so estimates
-      // never exceed the true extremes.
-      return std::clamp(bucket_upper_ms(i), min, max);
+    const std::uint64_t here = buckets[i];
+    if (static_cast<double>(seen + here) >= target) {
+      // Spread the bucket's values evenly over the integer nanoseconds it
+      // holds, [lower, lower + width - 1]: one-nanosecond buckets (zero
+      // ages, suppressed writes) then answer exactly.
+      const double frac =
+          (target - static_cast<double>(seen)) / static_cast<double>(here);
+      const double ns = static_cast<double>(bucket_lower_ns(i)) +
+                        frac * static_cast<double>(bucket_width_ns(i) - 1);
+      return std::clamp(ns / 1e6, min, max);
     }
+    seen += here;
   }
   return max;
 }
@@ -51,10 +82,7 @@ void HistogramData::merge(const HistogramData& other) {
     *this = other;
     return;
   }
-  if (buckets.size() < other.buckets.size()) buckets.resize(other.buckets.size(), 0);
-  for (std::size_t i = 0; i < other.buckets.size(); ++i) {
-    buckets[i] += other.buckets[i];
-  }
+  for (std::size_t i = 0; i < kBuckets; ++i) buckets[i] += other.buckets[i];
   count += other.count;
   sum += other.sum;
   min = std::min(min, other.min);
@@ -65,20 +93,6 @@ HistogramData Histogram::merged() const {
   HistogramData out = data_;
   for (const HistogramData& d : extra_) out.merge(d);
   return out;
-}
-
-void Histogram::observe(double v_ms) {
-  HistogramData& d = lane_data();
-  if (d.count == 0) {
-    d.min = v_ms;
-    d.max = v_ms;
-  } else {
-    d.min = std::min(d.min, v_ms);
-    d.max = std::max(d.max, v_ms);
-  }
-  ++d.count;
-  d.sum += v_ms;
-  ++d.buckets[HistogramData::bucket_index(v_ms)];
 }
 
 std::uint64_t MetricsSnapshot::counter(const std::string& name) const {

@@ -1,5 +1,5 @@
 // Deterministic, simulation-safe metrics: named counters, gauges, and
-// fixed-bucket log-scale histograms.
+// log-linear latency histograms (quantiles within 1/32 of the true value).
 //
 // Design constraints (DESIGN.md "Observability"):
 //   * No wall clock.  Every recorded duration is virtual (sim::Time math done
@@ -9,7 +9,9 @@
 //     cannot change a simulation schedule (determinism_test relies on this).
 //   * No allocation on the hot path.  Actors look up their instruments once
 //     (by name, at registration/construction time) and then update plain
-//     integers.  Instrument addresses are stable for the registry's lifetime.
+//     integers; a histogram lane allocates its buckets once, on its first
+//     observation.  Instrument addresses are stable for the registry's
+//     lifetime.
 //
 // One MetricsRegistry lives in each sim::World; snapshot() freezes every
 // instrument into a MetricsSnapshot that the experiment harness folds into
@@ -127,58 +129,67 @@ class Gauge {
   std::vector<Cell> extra_;  // lanes 1..N-1
 };
 
-// Frozen histogram state; also the merge/quantile math shared by live
-// histograms and snapshots.
+// A latency distribution in milliseconds: exact count, sum, min and max,
+// plus log-linear buckets for quantiles.  The one aggregator every latency
+// in a report comes from -- live histograms, snapshots, and the
+// latency_ms section alike.
 struct HistogramData {
-  // Fixed log-scale buckets: bucket i counts observations v (in ms) with
-  // upper(i-1) < v <= upper(i), where upper(i) = 0.001 * 2^i ms.  Bucket 0
-  // therefore holds everything at or below one microsecond (including the
-  // zero-duration "suppressed write" fast path) and the last bucket is
-  // unbounded.  48 buckets reach ~39 simulated hours.
-  static constexpr std::size_t kBuckets = 48;
-  static constexpr double kFirstUpperMs = 0.001;  // 1 us
+  // HdrHistogram-style buckets (http://hdrhistogram.org) over integer
+  // nanoseconds.  Values below 2^kSubBits ns get one bucket each; above
+  // that, each power of two [2^k, 2^(k+1)) splits into 2^kSubBits equal
+  // sub-buckets of width 2^(k - kSubBits), so no bucket is wider than 1/32
+  // of its lower bound.  Values at or below zero (the zero-duration
+  // "suppressed write" fast path) land in bucket 0, and values of 2^kTopBits
+  // ns (~39 simulated hours) or more in the last bucket.
+  static constexpr int kSubBits = 5;
+  static constexpr int kTopBits = 47;
+  static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBits;
+  static constexpr std::size_t kBuckets =
+      (kTopBits - kSubBits + 1) * kSubBuckets;
 
-  [[nodiscard]] static double bucket_upper_ms(std::size_t i);
+  // The bucket holding v_ms, in O(1) from its nanosecond count.
   [[nodiscard]] static std::size_t bucket_index(double v_ms);
+  // Bucket i holds the integer nanoseconds [lower, lower + width).
+  [[nodiscard]] static std::uint64_t bucket_lower_ns(std::size_t i);
+  [[nodiscard]] static std::uint64_t bucket_width_ns(std::size_t i);
 
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  std::vector<std::uint64_t> buckets;  // size kBuckets once observed/merged
+  std::vector<std::uint64_t> buckets;  // kBuckets entries from the first add
 
+  void add(double v_ms);
   [[nodiscard]] double mean() const {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
   }
-  // Quantile estimate, q in [0, 1]: the upper edge of the bucket holding
-  // the q-th observation, clamped to [min, max].  Exact for the extremes,
-  // within one bucket (a factor of two, rounded up) elsewhere.
+  // Quantile estimate, q in [0, 1]: walk to the bucket holding the
+  // ceil(q * count)-th smallest value and interpolate linearly inside it,
+  // clamped to [min, max].  q <= 0 gives min and q >= 1 max exactly;
+  // elsewhere the estimate is within one bucket width (1/32 of the value,
+  // exact below 64 ns) of the nearest-rank sample: the smallest value with
+  // at least a fraction q of all values at or below it.
   [[nodiscard]] double quantile(double q) const;
   void merge(const HistogramData& other);
 };
 
-// Live histogram of durations in milliseconds.
+// Live histogram of durations in milliseconds.  A lane's bucket array is
+// allocated by its first observe(), so lanes that never observe cost
+// nothing but their counters.
 class Histogram {
  public:
-  Histogram() { init_buckets(data_); }
+  Histogram() = default;
   explicit Histogram(std::uint32_t lanes) {
-    init_buckets(data_);
-    if (lanes > 1) {
-      extra_.resize(lanes - 1);
-      for (HistogramData& d : extra_) init_buckets(d);
-    }
+    if (lanes > 1) extra_.resize(lanes - 1);
   }
 
-  void observe(double v_ms);
+  void observe(double v_ms) { lane_data().add(v_ms); }
   // Lane 0 only -- the whole story for serial registries.
   [[nodiscard]] const HistogramData& data() const { return data_; }
   // All lanes folded together in lane order (what snapshots render).
   [[nodiscard]] HistogramData merged() const;
 
  private:
-  static void init_buckets(HistogramData& d) {
-    d.buckets.assign(HistogramData::kBuckets, 0);
-  }
   [[nodiscard]] HistogramData& lane_data() {
     if (extra_.empty()) return data_;
     const std::uint32_t lane = current_lane();

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "core/config.h"
 #include "obs/metrics.h"
 #include "core/iqs_server.h"
@@ -121,7 +120,10 @@ struct ExperimentParams {
 };
 
 struct ExperimentResult {
-  Summary read_ms, write_ms, all_ms;
+  // Latencies of the completed operations, added in history order.  all_ms
+  // takes its own adds rather than a merge of the other two, so its sum
+  // (and mean) accumulates in op order.
+  obs::HistogramData read_ms, write_ms, all_ms;
   std::uint64_t completed_reads = 0, completed_writes = 0;
   std::uint64_t rejected_reads = 0, rejected_writes = 0;
   std::uint64_t total_messages = 0;

@@ -129,9 +129,9 @@ std::string to_json(const ExperimentParams& params,
   out += ",\"availability\":" + num(result.availability());
 
   out += ",\"latency_ms\":{";
-  out += "\"read\":" + result.read_ms.to_json();
-  out += ",\"write\":" + result.write_ms.to_json();
-  out += ",\"all\":" + result.all_ms.to_json();
+  out += "\"read\":" + hist_json(result.read_ms);
+  out += ",\"write\":" + hist_json(result.write_ms);
+  out += ",\"all\":" + hist_json(result.all_ms);
   out += "}";
 
   out += ",\"messages\":{";

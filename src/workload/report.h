@@ -9,7 +9,9 @@
 //   config          the experiment knobs, incl. the IQS QuorumSpec string
 //   requests        completed/rejected read and write counts
 //   availability    fraction of requests completed
-//   latency_ms      read/write/all Summary (count, mean, min, max, p50/95/99)
+//   latency_ms      read/write/all op latencies; like every histogram below,
+//                   count, mean, min, max and p50/95/99 (quantiles from
+//                   obs::HistogramData: within 1/32 of the nearest rank)
 //   messages        totals, per-request rates, per-type table
 //   write_phases    DQVL write-latency breakdown: suppress / invalidate /
 //                   lease_wait histograms (empty object for baselines)

@@ -1,5 +1,5 @@
-// Unit tests for common substrate: strong ids, logical clocks, RNG, stats,
-// and the flat index.
+// Unit tests for common substrate: strong ids, logical clocks, RNG, and the
+// flat index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "common/flat_index.h"
 #include "common/ids.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/version.h"
 #include "sim/clock.h"
 
@@ -130,26 +129,6 @@ TEST(Rng, SampleCoversAllElementsEventually) {
     for (auto x : r.sample_without_replacement(6, 2)) seen.insert(x);
   }
   EXPECT_EQ(seen.size(), 6u);
-}
-
-TEST(Summary, BasicStatistics) {
-  Summary s;
-  for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 3.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
-  EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
-}
-
-TEST(Summary, EmptyIsZero) {
-  Summary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.percentile(99), 0.0);
 }
 
 TEST(DriftClock, PerfectClockIsIdentity) {

@@ -59,12 +59,12 @@ TEST(LatencyModel, MatchesSimulatedDqvlPathLatencies) {
   p.seed = 23;
   const auto r = run_experiment(p);
   // Read p50 is the hit path; max read is a miss (or lease renewal).
-  EXPECT_NEAR(r.read_ms.percentile(50), m.dqvl_read_hit(), 1.0);
-  EXPECT_GE(r.read_ms.max() + 0.5, m.dqvl_read_miss());
+  EXPECT_NEAR(r.read_ms.quantile(0.50), m.dqvl_read_hit(), 1.0);
+  EXPECT_GE(r.read_ms.max + 0.5, m.dqvl_read_miss());
   // Writes at 5% mostly go through (a read usually intervened).
-  EXPECT_NEAR(r.write_ms.percentile(50), m.dqvl_write_through(), 2.0);
+  EXPECT_NEAR(r.write_ms.quantile(0.50), m.dqvl_write_through(), 2.0);
   // The fastest observed write is a suppress.
-  EXPECT_NEAR(r.write_ms.min(), m.dqvl_write_suppress(), 2.0);
+  EXPECT_NEAR(r.write_ms.min, m.dqvl_write_suppress(), 2.0);
 }
 
 TEST(LatencyModel, PredictsTheFig6bShape) {

@@ -3,12 +3,15 @@
 // property the whole design hangs on -- recording metrics perturbs nothing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "workload/experiment.h"
 #include "workload/quorum_spec.h"
@@ -48,30 +51,69 @@ TEST(MetricsRegistry, GaugeTracksValueAndHighWaterMark) {
 }
 
 // --------------------------------------------------------------------------
-// Histogram bucket edges
+// Histogram buckets and quantiles
 // --------------------------------------------------------------------------
 
-TEST(Histogram, BucketEdgesAreLogScale) {
-  // upper(i) = 0.001 * 2^i ms.
-  EXPECT_DOUBLE_EQ(obs::HistogramData::bucket_upper_ms(0), 0.001);
-  EXPECT_DOUBLE_EQ(obs::HistogramData::bucket_upper_ms(1), 0.002);
-  EXPECT_DOUBLE_EQ(obs::HistogramData::bucket_upper_ms(10), 1.024);
+// The accuracy every quantile between min and max is held to: one bucket
+// width, which never exceeds 1/32 of the bucket's lower bound.
+constexpr double kQuantileTolerance = 1.0 / 32;
+
+// Nearest rank: the smallest value with at least a fraction q of all values
+// at or below it.
+double nearest_rank(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const auto n = static_cast<double>(values.size());
+  auto k = static_cast<std::size_t>(std::ceil(q * n));
+  k = std::clamp<std::size_t>(k, 1, values.size());
+  return values[k - 1];
 }
 
-TEST(Histogram, BucketIndexRespectsEdges) {
-  using HD = obs::HistogramData;
-  // Bucket 0 holds everything at or below its upper edge, including 0.
-  EXPECT_EQ(HD::bucket_index(0.0), 0u);
-  EXPECT_EQ(HD::bucket_index(0.001), 0u);
-  // Strictly above an edge falls into the next bucket.
-  EXPECT_EQ(HD::bucket_index(0.0011), 1u);
-  EXPECT_EQ(HD::bucket_index(0.002), 1u);
-  // Values beyond the last edge land in the final (unbounded) bucket.
-  EXPECT_EQ(HD::bucket_index(1e18), HD::kBuckets - 1);
-  // Every bucket's own upper edge maps back to that bucket.
-  for (std::size_t i = 0; i + 1 < HD::kBuckets; ++i) {
-    EXPECT_EQ(HD::bucket_index(HD::bucket_upper_ms(i)), i) << i;
+void expect_quantiles_near_nearest_rank(const obs::HistogramData& h,
+                                        const std::vector<double>& values) {
+  ASSERT_EQ(h.count, values.size());
+  for (const double q : {0.50, 0.95, 0.99, 0.999}) {
+    const double exact = nearest_rank(values, q);
+    EXPECT_NEAR(h.quantile(q), exact, exact * kQuantileTolerance)
+        << "q=" << q;
   }
+}
+
+TEST(Histogram, BucketBoundsAreContiguousAndLogLinear) {
+  using HD = obs::HistogramData;
+  EXPECT_EQ(HD::bucket_lower_ns(0), 0u);
+  for (std::size_t i = 0; i < HD::kBuckets; ++i) {
+    const std::uint64_t lower = HD::bucket_lower_ns(i);
+    const std::uint64_t width = HD::bucket_width_ns(i);
+    // The bucket's lower bound maps back to the bucket itself.
+    EXPECT_EQ(HD::bucket_index(static_cast<double>(lower) / 1e6), i) << i;
+    if (i + 1 < HD::kBuckets) {
+      EXPECT_EQ(HD::bucket_lower_ns(i + 1), lower + width) << i;
+    }
+    if (lower >= 32) {
+      EXPECT_LE(width * 32, lower) << i;
+    } else {
+      EXPECT_EQ(width, 1u) << i;
+    }
+  }
+  // The last bucket ends at 2^47 ns (~39 h).
+  const std::size_t last = HD::kBuckets - 1;
+  EXPECT_EQ(HD::bucket_lower_ns(last) + HD::bucket_width_ns(last),
+            std::uint64_t{1} << HD::kTopBits);
+}
+
+TEST(Histogram, BucketIndexSendsOutOfRangeValuesToTheEnds) {
+  using HD = obs::HistogramData;
+  EXPECT_EQ(HD::bucket_index(0.0), 0u);
+  EXPECT_EQ(HD::bucket_index(-1.0), 0u);
+  EXPECT_EQ(HD::bucket_index(1e18), HD::kBuckets - 1);
+  // Just under 2^47 ns rounds up to it and still lands in the last bucket.
+  EXPECT_EQ(HD::bucket_index(140737488.3552), HD::kBuckets - 1);
+  // Below 2^6 ns every nanosecond has its own bucket; above, they widen.
+  EXPECT_EQ(HD::bucket_index(31e-6), 31u);
+  EXPECT_EQ(HD::bucket_index(63e-6), 63u);
+  EXPECT_EQ(HD::bucket_index(64e-6), 64u);
+  EXPECT_EQ(HD::bucket_index(65e-6), 64u);
+  EXPECT_EQ(HD::bucket_index(66e-6), 65u);
 }
 
 TEST(Histogram, ObserveTracksCountSumExtrema) {
@@ -89,17 +131,98 @@ TEST(Histogram, ObserveTracksCountSumExtrema) {
 
 TEST(Histogram, QuantilesAreExactAtExtremesAndBucketAccurateBetween) {
   obs::Histogram h;
-  for (int i = 0; i < 100; ++i) h.observe(1.0);   // bucket of 1 ms
-  for (int i = 0; i < 100; ++i) h.observe(64.0);  // much larger bucket
+  for (int i = 0; i < 100; ++i) h.observe(1.0);
+  for (int i = 0; i < 100; ++i) h.observe(64.0);
   const auto& d = h.data();
   EXPECT_DOUBLE_EQ(d.quantile(0.0), d.min);
   EXPECT_DOUBLE_EQ(d.quantile(1.0), d.max);
-  // p25 lives in the 1 ms bucket; bucket interpolation is within a factor
-  // of two of the true value.
-  EXPECT_LE(d.quantile(0.25), 2.0);
-  // p75 lives in the 64 ms bucket.
-  EXPECT_GE(d.quantile(0.75), 32.0);
-  EXPECT_LE(d.quantile(0.75), 64.0 + 1e-9);
+  // Each quantile lies within one bucket, 1/32 of its value, of the truth.
+  EXPECT_NEAR(d.quantile(0.25), 1.0, 1.0 * kQuantileTolerance);
+  EXPECT_NEAR(d.quantile(0.75), 64.0, 64.0 * kQuantileTolerance);
+}
+
+// Values spread evenly over one bucket ([98.57, 100.66) ms, 2.1 ms wide):
+// interpolation places each quantile near its rank inside the bucket, not
+// at an edge.
+TEST(HistogramData, InterpolatesInsideABucket) {
+  obs::HistogramData h;
+  std::vector<double> values;
+  for (int i = 0; i <= 1000; ++i) values.push_back(98.6 + 0.002 * i);
+  for (const double v : values) h.add(v);
+  ASSERT_EQ(obs::HistogramData::bucket_index(values.front()),
+            obs::HistogramData::bucket_index(values.back()));
+  for (const double q : {0.05, 0.5, 0.95}) {
+    const double exact = nearest_rank(values, q);
+    EXPECT_NEAR(h.quantile(q), exact, exact * 0.001) << "q=" << q;
+  }
+}
+
+TEST(HistogramData, AddTracksCountMeanExtremaAndQuantiles) {
+  obs::HistogramData h;
+  for (const double x : {1.0, 2.0, 3.0, 4.0, 5.0}) h.add(x);
+  EXPECT_EQ(h.count, 5u);
+  EXPECT_DOUBLE_EQ(h.mean(), 3.0);
+  EXPECT_DOUBLE_EQ(h.min, 1.0);
+  EXPECT_DOUBLE_EQ(h.max, 5.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 5.0);
+  EXPECT_NEAR(h.quantile(0.5), 3.0, 3.0 * kQuantileTolerance);
+}
+
+TEST(HistogramData, EmptyIsZeroAndHoldsNoBuckets) {
+  const obs::HistogramData h;
+  EXPECT_EQ(h.count, 0u);
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.quantile(0.99), 0.0);
+  EXPECT_TRUE(h.buckets.empty());
+}
+
+// Quantiles against nearest rank on 10^5 values from five shapes: a
+// constant, a uniform, an exponential, DQVL's hit/miss bimodal (9 ms local
+// reads, 89 ms renewals), and a heavy (Pareto, alpha 1.5) tail.
+TEST(HistogramData, QuantilesTrackNearestRankOnSyntheticData) {
+  const std::map<std::string, double (*)(Rng&)> shapes = {
+      {"constant", [](Rng&) { return 42.0; }},
+      {"uniform", [](Rng& r) { return 1000.0 * r.uniform(); }},
+      {"exponential", [](Rng& r) { return r.exponential(50.0); }},
+      {"bimodal", [](Rng& r) { return r.chance(0.9) ? 9.0 : 89.0; }},
+      {"pareto",
+       [](Rng& r) { return 1.0 / std::pow(1.0 - r.uniform(), 1.0 / 1.5); }},
+  };
+  for (const auto& [name, draw] : shapes) {
+    SCOPED_TRACE(name);
+    Rng rng(2005);
+    std::vector<double> values(100000);
+    obs::HistogramData h;
+    for (double& v : values) {
+      v = draw(rng);
+      h.add(v);
+    }
+    expect_quantiles_near_nearest_rank(h, values);
+  }
+}
+
+TEST(Histogram, LanesMergeLikeOneLaneAndIdleLanesHoldNoBuckets) {
+  obs::Histogram one;
+  obs::Histogram four(4);
+  Rng rng(19);
+  for (int i = 0; i < 1000; ++i) {
+    const double v = rng.exponential(20.0);
+    one.observe(v);
+    // Lanes 1..3 only: lane 0 never observes.
+    obs::set_current_lane(static_cast<std::uint32_t>(1 + i % 3));
+    four.observe(v);
+  }
+  obs::set_current_lane(0);
+  const obs::HistogramData a = one.merged();
+  const obs::HistogramData b = four.merged();
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.buckets, b.buckets);
+  EXPECT_NEAR(a.sum, b.sum, 1e-9 * a.sum);
+  EXPECT_TRUE(four.data().buckets.empty());
+  EXPECT_EQ(four.data().count, 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -361,15 +484,30 @@ TEST(Report, MessageSectionMatchesNetCounters) {
   }
 }
 
-TEST(Report, SummaryPercentilesAreMemoizedCorrectly) {
-  Summary s;
-  for (int i = 100; i >= 1; --i) s.add(i);  // reverse order
-  EXPECT_DOUBLE_EQ(s.p50(), 50.5);
-  // Adding after a query must invalidate the memoized sort.
-  s.add(1000.0);
-  EXPECT_DOUBLE_EQ(s.max(), 1000.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 1000.0);
-  EXPECT_DOUBLE_EQ(s.p99(), s.percentile(99));
+// Every latency_ms quantile is within one bucket of nearest rank over the
+// op records behind it, on a lossy DQVL run with hits, misses and writes;
+// count, mean and extremes are exact.
+TEST(Report, LatencyQuantilesTrackNearestRankOverTheHistory) {
+  auto p = small_dqvl(21);
+  p.requests_per_client = 400;
+  const auto r = run_experiment(p);
+  std::vector<double> reads, writes, all;
+  double sum = 0.0;
+  for (const OpRecord& op : r.history.ops()) {
+    if (!op.ok) continue;
+    const double ms = sim::to_ms(op.completed - op.invoked);
+    (op.kind == msg::OpKind::kRead ? reads : writes).push_back(ms);
+    all.push_back(ms);
+    sum += ms;
+  }
+  ASSERT_GT(reads.size(), 500u);
+  ASSERT_GT(writes.size(), 200u);
+  expect_quantiles_near_nearest_rank(r.read_ms, reads);
+  expect_quantiles_near_nearest_rank(r.write_ms, writes);
+  expect_quantiles_near_nearest_rank(r.all_ms, all);
+  EXPECT_EQ(r.all_ms.mean(), sum / static_cast<double>(all.size()));
+  EXPECT_EQ(r.all_ms.min, *std::min_element(all.begin(), all.end()));
+  EXPECT_EQ(r.all_ms.max, *std::max_element(all.begin(), all.end()));
 }
 
 }  // namespace

@@ -14,13 +14,16 @@ import re
 import sys
 
 
+def whitelisted(root):
+    """The BENCH_*.json names .gitignore whitelists under `root`."""
+    lines = (pathlib.Path(root) / ".gitignore").read_text().splitlines()
+    return {line.strip()[1:] for line in lines
+            if line.strip().startswith("!BENCH_")}
+
+
 def main(argv):
     root = pathlib.Path(argv[1] if len(argv) > 1 else ".")
-    whitelisted = {
-        line.strip()[1:]
-        for line in (root / ".gitignore").read_text().splitlines()
-        if line.strip().startswith("!BENCH_")
-    }
+    whitelisted_names = whitelisted(root)
     files = [root / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
     files += sorted((root / "docs").glob("*.md"))
     files += sorted((root / "bench").glob("*.cpp"))
@@ -32,7 +35,7 @@ def main(argv):
         for lineno, line in enumerate(text.splitlines(), 1):
             for name in re.findall(r"BENCH_\w+\.json", line):
                 why = []
-                if name not in whitelisted:
+                if name not in whitelisted_names:
                     why.append("not whitelisted in .gitignore")
                 if not (root / name).is_file():
                     why.append("not in the source tree")

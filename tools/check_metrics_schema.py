@@ -4,11 +4,19 @@
 Usage:
   check_metrics_schema.py FILE [FILE...]      validate existing JSON files
                                               (schema is auto-detected)
-  check_metrics_schema.py --dqsim PATH        run `PATH --protocol=dqvl
+  check_metrics_schema.py --dqsim PATH [ROOT] run `PATH --protocol=dqvl
                                               --metrics-json=<tmp>` and
                                               validate the output (also checks
                                               the DQVL-specific sections:
-                                              write_phases and iqs_load)
+                                              write_phases and iqs_load); with
+                                              ROOT, also validate the goldens
+                                              (ROOT/tests/golden/*.json) and
+                                              every checked-in BENCH_*.json
+  check_metrics_schema.py --rerun BENCH BASELINE OUT
+                                              run `BENCH --json=OUT`, validate
+                                              OUT, and require its runs array
+                                              to equal BASELINE's (the host
+                                              block may differ)
   check_metrics_schema.py --dqlint PATH       run `PATH --root=<repo>
                                               --json=<tmp>`, validate the
                                               dq.lint.v1 output, and require
@@ -24,6 +32,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+from check_bench_baselines import whitelisted
 
 SUMMARY_KEYS = {"count", "mean", "min", "max", "p50", "p95", "p99"}
 REPORT_KEYS = {
@@ -66,10 +76,10 @@ def check_summary(obj, where):
         expect(isinstance(obj[k], (int, float)), f"{where}.{k}: not a number")
     expect(obj["count"] >= 0, f"{where}.count: negative")
     if obj["count"] > 0:
-        expect(obj["min"] <= obj["p50"] <= obj["p99"] <= obj["max"] + 1e-9,
-               f"{where}: quantiles not ordered "
-               f"(min={obj['min']} p50={obj['p50']} p99={obj['p99']} "
-               f"max={obj['max']})")
+        order = ("min", "p50", "p95", "p99", "max")
+        expect(all(obj[a] <= obj[b] + 1e-9 for a, b in zip(order, order[1:])),
+               f"{where}: quantiles not ordered (" +
+               " ".join(f"{k}={obj[k]}" for k in order) + ")")
 
 
 def check_report(doc, where, *, dqvl=False):
@@ -126,6 +136,8 @@ def check_report(doc, where, *, dqvl=False):
     expect(not missing, f"{where}.metrics: missing keys {sorted(missing)}")
     for k in METRICS_KEYS:
         expect(isinstance(met[k], dict), f"{where}.metrics.{k}: expected object")
+    for name, hist in met["histograms"].items():
+        check_summary(hist, f"{where}.metrics.histograms.{name}")
 
     expect(isinstance(doc["sim_duration_ms"], (int, float)),
            f"{where}.sim_duration_ms: not a number")
@@ -314,10 +326,57 @@ def validate_file(path):
     return check_document(doc, os.path.basename(path))
 
 
+def checked_in_documents(root):
+    """The goldens, plus each checked-in BENCH_*.json: whitelisted in
+    .gitignore and present in the tree."""
+    golden = os.path.join(root, "tests", "golden")
+    paths = [os.path.join(golden, n) for n in sorted(os.listdir(golden))
+             if n.endswith(".json")]
+    paths += [os.path.join(root, n) for n in sorted(whitelisted(root))
+              if os.path.isfile(os.path.join(root, n))]
+    return paths
+
+
+def rerun_matches(bench, baseline, out):
+    """Run `bench --json=out`; its runs must equal the baseline's."""
+    proc = subprocess.run([bench, f"--json={out}"], stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+    if proc.returncode != 0:
+        print(proc.stdout, file=sys.stderr)
+        print(f"FAIL: {bench} exited {proc.returncode}", file=sys.stderr)
+        return False
+    try:
+        validate_file(out)
+        with open(out, "r", encoding="utf-8") as fh:
+            fresh = json.load(fh)["runs"]
+        with open(baseline, "r", encoding="utf-8") as fh:
+            kept = json.load(fh)["runs"]
+    except (SchemaError, json.JSONDecodeError, OSError, KeyError) as e:
+        print(f"FAIL: {e}", file=sys.stderr)
+        return False
+    if fresh != kept:
+        diff = next((i for i, (a, b) in enumerate(zip(fresh, kept))
+                     if a != b), min(len(fresh), len(kept)))
+        print(f"FAIL: {out} runs differ from {baseline} (first at "
+              f"runs[{diff}]); regenerate the baseline with `{bench} "
+              f"--json={baseline}`", file=sys.stderr)
+        return False
+    print(f"OK: {bench} reproduces the runs of {baseline}")
+    return True
+
+
 def main(argv):
+    if len(argv) >= 2 and argv[1] == "--rerun":
+        if len(argv) != 5:
+            print("usage: check_metrics_schema.py --rerun BENCH BASELINE OUT",
+                  file=sys.stderr)
+            return 2
+        return 0 if rerun_matches(*argv[2:]) else 1
+
     if len(argv) >= 2 and argv[1] == "--dqsim":
-        if len(argv) != 3:
-            print("usage: check_metrics_schema.py --dqsim PATH", file=sys.stderr)
+        if len(argv) not in (3, 4):
+            print("usage: check_metrics_schema.py --dqsim PATH [ROOT]",
+                  file=sys.stderr)
             return 2
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "report.json")
@@ -335,6 +394,8 @@ def main(argv):
                 print(f"FAIL: {out}: {e}", file=sys.stderr)
                 return 1
         print("OK: dqsim --metrics-json output matches dq.report.v1")
+        if len(argv) == 4:
+            return main([argv[0]] + checked_in_documents(argv[3]))
         return 0
 
     if len(argv) >= 2 and argv[1] == "--dqlint":

@@ -142,9 +142,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.rejected_reads +
                                               r.rejected_writes));
   std::printf("read latency (ms)   mean %.2f  p50 %.2f  p99 %.2f\n",
-              r.read_ms.mean(), r.read_ms.p50(), r.read_ms.p99());
+              r.read_ms.mean(), r.read_ms.quantile(0.50),
+              r.read_ms.quantile(0.99));
   std::printf("write latency (ms)  mean %.2f  p50 %.2f  p99 %.2f\n",
-              r.write_ms.mean(), r.write_ms.p50(), r.write_ms.p99());
+              r.write_ms.mean(), r.write_ms.quantile(0.50),
+              r.write_ms.quantile(0.99));
   std::printf("overall (ms)        mean %.2f\n", r.all_ms.mean());
   std::printf("availability        %.6f\n", r.availability());
   std::printf("messages/request    %.2f (%.0f bytes/request)\n",
