@@ -118,8 +118,13 @@ inline void header(const char* fig, const char* what) {
   std::printf("==================================================================\n");
 }
 
+// One table row: every cell padded to `width`, and a cell that fills it or
+// overflows still gets one space before the next.
 inline void row(const std::vector<std::string>& cells, int width = 14) {
-  for (const auto& c : cells) std::printf("%-*s", width, c.c_str());
+  for (const auto& c : cells) {
+    std::printf("%-*s%s", width, c.c_str(),
+                static_cast<int>(c.size()) >= width ? " " : "");
+  }
   std::printf("\n");
 }
 

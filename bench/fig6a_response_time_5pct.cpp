@@ -13,8 +13,10 @@ using namespace dq::bench;
 int main(int argc, char** argv) {
   Reporter rep("fig6a", argc, argv);
   header("Figure 6(a)", "response time at 5% write ratio, locality 100%");
+  // 16 wide: "primary/backup" fills a 14-wide cell.
   row({"protocol", "read(ms)", "write(ms)", "overall(ms)", "p99(ms)",
-       "violations"});
+       "violations"},
+      16);
   const auto protos = workload::paper_protocols();
   std::vector<workload::ExperimentParams> trials;
   for (std::string proto : protos) {
@@ -27,7 +29,8 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     row({workload::protocol_name(proto), fmt(r.read_ms.mean()),
          fmt(r.write_ms.mean()), fmt(r.all_ms.mean()),
-         fmt(r.all_ms.quantile(0.99)), std::to_string(r.violations.size())});
+         fmt(r.all_ms.quantile(0.99)), std::to_string(r.violations.size())},
+        16);
     if (proto == "dqvl") dqvl_read = r.read_ms.mean();
     if (proto == "pb") pb_read = r.read_ms.mean();
     if (proto == "majority") maj_read = r.read_ms.mean();

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const auto protos = workload::paper_protocols();
   std::vector<std::string> head{"write%"};
   for (auto p : protos) head.push_back(workload::protocol_name(p));
-  row(head);
+  row(head, 16);  // "primary/backup" fills a 14-wide cell
   const std::vector<double> writes{0.0, 0.05, 0.1, 0.2, 0.3,
                                    0.5, 0.7,  0.9, 1.0};
   std::vector<workload::ExperimentParams> trials;
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
         maj_at_1 = r.all_ms.mean();
       }
     }
-    row(cells);
+    row(cells, 16);
   }
   std::printf("\npaper: DQVL approaches majority as writes dominate\n");
   std::printf("measured at w=100%%: DQVL %.1f ms vs majority %.1f ms "

@@ -14,7 +14,8 @@ using namespace dq::bench;
 int main(int argc, char** argv) {
   Reporter rep("fig7a", argc, argv);
   header("Figure 7(a)", "response time at 5% writes, 90% access locality");
-  row({"protocol", "read(ms)", "write(ms)", "overall(ms)", "violations"});
+  // 16 wide: "primary/backup" fills a 14-wide cell.
+  row({"protocol", "read(ms)", "write(ms)", "overall(ms)", "violations"}, 16);
   const auto protos = workload::paper_protocols();
   std::vector<workload::ExperimentParams> trials;
   for (std::string proto : protos) {
@@ -27,7 +28,8 @@ int main(int argc, char** argv) {
     const auto& r = results[i];
     row({workload::protocol_name(proto), fmt(r.read_ms.mean()),
          fmt(r.write_ms.mean()), fmt(r.all_ms.mean()),
-         std::to_string(r.violations.size())});
+         std::to_string(r.violations.size())},
+        16);
     if (proto == "dqvl") dqvl = r.all_ms.mean();
     if (proto == "pb") pb = r.all_ms.mean();
     if (proto == "majority") maj = r.all_ms.mean();

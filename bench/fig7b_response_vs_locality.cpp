@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const auto protos = workload::paper_protocols();
   std::vector<std::string> head{"locality%"};
   for (auto p : protos) head.push_back(workload::protocol_name(p));
-  row(head);
+  row(head, 16);  // "primary/backup" fills a 14-wide cell
 
   const std::vector<double> locs{0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0};
   std::vector<workload::ExperimentParams> trials;
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       if (proto == "pb") pb = r.all_ms.mean();
       if (proto == "majority") maj = r.all_ms.mean();
     }
-    row(cells);
+    row(cells, 16);
     if (crossover < 0 && dqvl < pb && dqvl < maj) crossover = loc;
   }
   std::printf("\npaper: prefer DQVL over both strong baselines above ~70%% "

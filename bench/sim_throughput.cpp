@@ -4,8 +4,11 @@
 // (BENCH_sim_throughput.json, checked in as the reference baseline):
 //
 //   * scheduler events/sec -- raw schedule+fire throughput of the slab-pool
-//     event core (plus a cancel-heavy variant exercising lazy heap
-//     deletion), the number the ISSUE's >=2x acceptance bar is measured on;
+//     event core, plus two cancel variants: "cancel-heavy" cancels half of
+//     each batch before it runs (the dead entries drain with the batch),
+//     and "retry-timer" is QRPC's pattern -- every event arms a far-future
+//     retry timer and cancels the one its predecessor armed, so dead
+//     entries would pile up in the heap unless cancels compact it;
 //   * trial-suite scaling -- a fixed 8-trial suite run through the parallel
 //     runner at every jobs in {1, 2, 4, 8}, with per-point speedups (on a
 //     single-hardware-thread host the table is recorded anyway, with a
@@ -14,8 +17,11 @@
 // Timing a simulator takes a wall clock, so unlike every other bench this
 // one's numbers vary run to run; the dq.report.v1 documents it records (the
 // serial suite's reports) stay byte-identical at any --jobs.
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "bench_util.h"
 #include "sim/scheduler.h"
@@ -62,6 +68,40 @@ double scheduler_events_per_sec(bool cancel_half) {
   return fired / ((t1 - t0) / 1000.0);
 }
 
+// Events/sec under QRPC's retry-timer pattern: kChains concurrent "calls",
+// each of whose steps cancels its retry timer, arms a new one 8 s out, and
+// schedules its next step a few ns later.  No retry timer ever comes due,
+// so every one is cancelled.  Measured over ~0.3 s; `queued` receives the
+// heap entries left at the end (live and cancelled).
+double retry_timer_events_per_sec(std::size_t& queued) {
+  constexpr std::size_t kChains = 1000;
+  struct Chains {
+    sim::Scheduler s;
+    std::array<sim::TimerToken, kChains> retry{};
+    std::uint64_t steps = 0;
+    void step(std::size_t c) {
+      retry[c].cancel();
+      retry[c] = s.schedule_after(sim::seconds(8), [] {});
+      ++steps;
+      s.schedule_after(1 + static_cast<sim::Duration>(c % 7),
+                       [this, c] { step(c); });
+    }
+  };
+  const auto owner = std::make_unique<Chains>();
+  Chains& ch = *owner;
+  for (std::size_t c = 0; c < kChains; ++c) {
+    ch.s.schedule_at(0, [&ch, c] { ch.step(c); });
+  }
+  const double t0 = wall_ms();
+  double t1 = t0;
+  while (t1 - t0 < 300.0) {
+    ch.s.run_until(ch.s.now() + 1000);
+    t1 = wall_ms();
+  }
+  queued = ch.s.queued_entries();
+  return static_cast<double>(ch.steps) / ((t1 - t0) / 1000.0);
+}
+
 std::vector<workload::ExperimentParams> suite() {
   std::vector<workload::ExperimentParams> trials;
   for (auto proto :
@@ -95,6 +135,11 @@ int main(int argc, char** argv) {
   const double sched_cancel = scheduler_events_per_sec(/*cancel_half=*/true);
   row({"scheduler", "events/sec", fmt_sci(sched)}, 16);
   row({"  50% cancelled", "events/sec", fmt_sci(sched_cancel)}, 16);
+  std::size_t retry_queued = 0;
+  const double sched_retry = retry_timer_events_per_sec(retry_queued);
+  row({"  retry timers", "events/sec", fmt_sci(sched_retry),
+       std::to_string(retry_queued) + " queued"},
+      16);
 
   // Trial-suite scaling table: the same fixed suite at every jobs value (the
   // thread count is passed through raw, deliberately bypassing the --jobs
@@ -154,9 +199,11 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                ",\"throughput\":{\"scheduler_events_per_sec\":%.0f,"
                "\"scheduler_events_per_sec_cancel_heavy\":%.0f,"
+               "\"scheduler_events_per_sec_retry_timer\":%.0f,"
                "\"suite_trials\":%zu,\"suite_serial_ms\":%.1f,"
                "\"hardware_threads\":%u",
-               sched, sched_cancel, trials.size(), serial_ms, hw);
+               sched, sched_cancel, sched_retry, trials.size(), serial_ms,
+               hw);
   std::fprintf(f, ",\"suite_scaling\":[");
   for (std::size_t i = 0; i < scale.size(); ++i) {
     std::fprintf(f, "%s{\"jobs\":%zu,\"ms\":%.1f,\"speedup\":%.2f}",

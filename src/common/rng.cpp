@@ -11,17 +11,4 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
-                                                         std::size_t k) {
-  std::vector<std::size_t> all(n);
-  for (std::size_t i = 0; i < n; ++i) all[i] = i;
-  if (k >= n) return all;
-  // Partial Fisher-Yates: the first k slots end up a uniform k-subset.
-  for (std::size_t i = 0; i < k; ++i) {
-    std::swap(all[i], all[i + below(n - i)]);
-  }
-  all.resize(k);
-  return all;
-}
-
 }  // namespace dq

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace dq {
 
@@ -65,11 +64,6 @@ class Rng {
   // Exponentially distributed value with the given mean (for think times /
   // failure inter-arrivals).
   double exponential(double mean);
-
-  // Pick k distinct indices uniformly at random from [0, n) -- used by QRPC
-  // to select a random quorum.  Returns fewer than k if n < k.
-  std::vector<std::size_t> sample_without_replacement(std::size_t n,
-                                                      std::size_t k);
 
   // Fisher-Yates shuffle of a span.
   template <typename T>

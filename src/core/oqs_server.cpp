@@ -24,11 +24,14 @@ OqsServer::OqsServer(sim::World& world, NodeId self,
 }
 
 bool OqsServer::on_message(const sim::Envelope& env) {
-  if (std::get_if<msg::DqRead>(&env.body) != nullptr) {
-    // Client-facing: pays the per-request processing delay.
-    sim::defer_processing(world_, self_, [this, env] {
-      handle_read(env, std::get<msg::DqRead>(env.body));
-    });
+  if (const auto* m = std::get_if<msg::DqRead>(&env.body)) {
+    // Client-facing: pays the per-request processing delay.  Only what the
+    // read needs waits it out, not a copy of the envelope.
+    sim::defer_processing(
+        world_, self_,
+        [this, src = env.src, rpc = env.rpc_id, object = m->object] {
+          handle_read(src, rpc, object);
+        });
     return true;
   }
   if (const auto* m = std::get_if<msg::DqInval>(&env.body)) {
@@ -165,26 +168,24 @@ bool OqsServer::condition_c(ObjectId o) const {
 // Read path
 // ---------------------------------------------------------------------------
 
-void OqsServer::handle_read(const sim::Envelope& env, const msg::DqRead& m) {
+void OqsServer::handle_read(NodeId src, RequestId rpc, ObjectId object) {
   m_load_->inc();
-  PendingRead pr{env.src, env.rpc_id, m.object, 0, world_.now()};
-  if (condition_c(m.object)) {
+  PendingRead pr{src, rpc, object, 0, world_.now()};
+  if (condition_c(object)) {
     if (world_.tracing()) {
-      world_.trace(self_, "read",
-                   "hit obj " + std::to_string(m.object.value()));
+      world_.trace(self_, "read", "hit obj " + std::to_string(object.value()));
     }
     m_hits_->inc();
     reply_to_read(pr);  // read hit: answer from cache, no IQS traffic
     return;
   }
   if (world_.tracing()) {
-    world_.trace(self_, "read",
-                 "miss obj " + std::to_string(m.object.value()));
+    world_.trace(self_, "read", "miss obj " + std::to_string(object.value()));
   }
   m_misses_->inc();
   const std::uint64_t key = next_pending_++;
   pending_.emplace(key, pr);
-  pending_index_.emplace(cfg_->volumes.volume_of(m.object), m.object, key);
+  pending_index_.emplace(cfg_->volumes.volume_of(object), object, key);
   start_read_machine(key);
 }
 

@@ -94,7 +94,8 @@ class OqsServer {
   };
 
   // --- handlers -------------------------------------------------------------
-  void handle_read(const sim::Envelope& env, const msg::DqRead& m);
+  // A client read from `src`, tagged `rpc`, after its processing delay.
+  void handle_read(NodeId src, RequestId rpc, ObjectId object);
   void handle_inval(const sim::Envelope& env, const msg::DqInval& m);
   // When `batch_acks` is non-null, per-volume acknowledgements are
   // collected there instead of sent individually.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -47,22 +48,29 @@ ThresholdQuorum::ThresholdQuorum(std::vector<NodeId> members,
                "write quorums must pairwise intersect (2w > n)");
 }
 
-std::vector<NodeId> ThresholdQuorum::pick(Kind kind, Rng& rng,
-                                          std::optional<NodeId> prefer) const {
-  const std::size_t k = quorum_size(kind);
-  std::vector<NodeId> out;
-  out.reserve(k);
+Pick ThresholdQuorum::pick(Kind kind, Rng& rng,
+                          std::optional<NodeId> prefer) const {
+  Pick out;
   const bool use_prefer = prefer && is_member(*prefer);
   if (use_prefer) out.push_back(*prefer);
-  // Fill the rest with a uniform sample of the remaining members.
-  std::vector<NodeId> pool;
-  pool.reserve(members_.size());
+  const std::size_t need = quorum_size(kind) - out.size();
+  if (need == 0) return out;  // the preferred node alone is the quorum
+  // Fill the rest with a uniform sample of the remaining members: lay them
+  // out after the preferred node, in order, and run a partial Fisher-Yates
+  // over them.  A quorum that needs every remaining member takes them in
+  // order and draws nothing.
+  const std::size_t base = out.size_;
+  std::size_t n = 0;
   for (NodeId m : members_) {
-    if (!(use_prefer && m == *prefer)) pool.push_back(m);
+    if (!(use_prefer && m == *prefer)) out.ids_[base + n++] = m;
   }
-  const std::size_t need = k - out.size();
-  auto idx = rng.sample_without_replacement(pool.size(), need);
-  for (std::size_t i : idx) out.push_back(pool[i]);
+  NodeId* pool = out.ids_ + base;
+  if (need < n) {
+    for (std::size_t i = 0; i < need; ++i) {
+      std::swap(pool[i], pool[i + rng.below(n - i)]);
+    }
+  }
+  out.size_ += need;  // need <= n: quorums never outnumber the members
   return out;
 }
 
@@ -99,16 +107,14 @@ GridQuorum::GridQuorum(std::vector<NodeId> members, std::size_t rows,
   DQ_INVARIANT(rows_ >= 1 && cols_ >= 1, "degenerate grid");
 }
 
-std::vector<NodeId> GridQuorum::pick(Kind kind, Rng& rng,
-                                     std::optional<NodeId> prefer) const {
-  std::vector<NodeId> out;
+Pick GridQuorum::pick(Kind kind, Rng& rng,
+                      std::optional<NodeId> prefer) const {
+  Pick out;
   // Row cover: one member from every column.  If `prefer` is a member, use
   // it to cover its own column.
   std::optional<std::size_t> prefer_col;
-  if (prefer && is_member(*prefer)) {
-    for (std::size_t k = 0; k < members_.size(); ++k) {
-      if (members_[k] == *prefer) prefer_col = k % cols_;
-    }
+  if (prefer) {
+    if (const auto k = position(*prefer)) prefer_col = *k % cols_;
   }
   for (std::size_t c = 0; c < cols_; ++c) {
     if (prefer_col && c == *prefer_col) {

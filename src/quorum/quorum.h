@@ -37,6 +37,32 @@ inline constexpr std::size_t kMaxMembers = 256;
 // for members()[k].  Fixed width, so testing a quorum allocates nothing.
 using Positions = std::bitset<kMaxMembers>;
 
+// The members one pick chose, in pick order.  A fixed buffer of kMaxMembers
+// ids, so picking allocates nothing.  The buffer is not zeroed (that would
+// cost every QRPC round 1 KB of stores for the one to three ids it usually
+// holds); only ids below size() are ever written or read.
+class Pick {
+ public:
+  // Not `= default`, which the union member would delete.
+  Pick() {}  // NOLINT(modernize-use-equals-default)
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const NodeId* begin() const { return ids_; }
+  [[nodiscard]] const NodeId* end() const { return ids_ + size_; }
+  [[nodiscard]] NodeId operator[](std::size_t i) const { return ids_[i]; }
+
+ private:
+  friend class ThresholdQuorum;
+  friend class GridQuorum;
+
+  void push_back(NodeId n) { ids_[size_++] = n; }
+
+  union {
+    NodeId ids_[kMaxMembers];  // the first assignment starts its lifetime
+  };
+  std::size_t size_ = 0;
+};
+
 class QuorumSystem {
  public:
   virtual ~QuorumSystem() = default;
@@ -50,8 +76,8 @@ class QuorumSystem {
   // Select a quorum uniformly at random, preferring to include `prefer`
   // when it is a member (the paper's QRPC "always transmits requests to the
   // local node if the local node is a member of system").
-  [[nodiscard]] virtual std::vector<NodeId> pick(
-      Kind kind, Rng& rng, std::optional<NodeId> prefer) const = 0;
+  [[nodiscard]] virtual Pick pick(Kind kind, Rng& rng,
+                                  std::optional<NodeId> prefer) const = 0;
 
   // Does `acked` contain a quorum of the given kind?  Bits at positions
   // size() and above must be clear.
@@ -72,8 +98,8 @@ class ThresholdQuorum final : public QuorumSystem {
   ThresholdQuorum(std::vector<NodeId> members, std::size_t read_size,
                   std::size_t write_size);
 
-  [[nodiscard]] std::vector<NodeId> pick(
-      Kind kind, Rng& rng, std::optional<NodeId> prefer) const override;
+  [[nodiscard]] Pick pick(Kind kind, Rng& rng,
+                          std::optional<NodeId> prefer) const override;
   [[nodiscard]] bool is_quorum(Kind kind,
                                const Positions& acked) const override;
   [[nodiscard]] std::size_t quorum_size(Kind kind) const override {
@@ -99,8 +125,8 @@ class GridQuorum final : public QuorumSystem {
   // at (row k / cols, col k % cols).
   GridQuorum(std::vector<NodeId> members, std::size_t rows, std::size_t cols);
 
-  [[nodiscard]] std::vector<NodeId> pick(
-      Kind kind, Rng& rng, std::optional<NodeId> prefer) const override;
+  [[nodiscard]] Pick pick(Kind kind, Rng& rng,
+                          std::optional<NodeId> prefer) const override;
   [[nodiscard]] bool is_quorum(Kind kind,
                                const Positions& acked) const override;
   [[nodiscard]] std::size_t quorum_size(Kind kind) const override {

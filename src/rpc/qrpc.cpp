@@ -72,7 +72,7 @@ void QrpcEngine::transmit_round(CallId id) {
   if (c == nullptr) return;
   m_rounds_->inc();
   // Fresh random quorum each round, local node preferred (section 2).
-  const auto targets = c->system->pick(c->kind, world_.rng(), self_);
+  const quorum::Pick targets = c->system->pick(c->kind, world_.rng(), self_);
   for (NodeId t : targets) {
     if (auto payload = c->build(t)) {
       world_.send(self_, t, c->rpc_id, *std::move(payload));

@@ -260,7 +260,7 @@ std::size_t Engine::run_until(Time deadline) {
     for (auto& p : parts) executed += p->executed_in_round;
 
     // Phase B: merge mailboxes.  Each destination drains every source's
-    // outbox for it in the fixed (deliver_time, global_seq, dst_node) order;
+    // outbox for it in the fixed (deliver_time, global_seq) order;
     // distinct destinations touch distinct queues, so this fans out too.
     pool_->run(parts.size(), [&](std::size_t i) {
       merge_mailboxes_into(*parts[i]);
@@ -278,17 +278,20 @@ std::size_t Engine::run_until(Time deadline) {
 
 void Engine::merge_mailboxes_into(PartitionState& dst) {
   auto& parts = world_.parts_;
-  std::vector<Mail>& batch = dst.merge_scratch;
-  batch.clear();
+  std::vector<MailKey>& keys = dst.merge_keys;
+  keys.clear();
   for (auto& src : parts) {
-    std::vector<Mail>& box = src->outbox[dst.index];
-    for (Mail& m : box) batch.push_back(std::move(m));
-    box.clear();
+    const std::vector<Mail>& box = src->outbox[dst.index];
+    for (std::size_t i = 0; i < box.size(); ++i) {
+      keys.push_back(MailKey{box[i].deliver_at, box[i].seq, src->index,
+                             static_cast<std::uint32_t>(i)});
+    }
   }
-  if (batch.empty()) return;
-  std::sort(batch.begin(), batch.end(), mail_before);
+  if (keys.empty()) return;
+  std::sort(keys.begin(), keys.end(), mail_before);
   World* w = &world_;
-  for (Mail& m : batch) {
+  for (const MailKey& k : keys) {
+    Mail& m = parts[k.src_part]->outbox[dst.index][k.index];
     DQ_INVARIANT(m.deliver_at >= dst.sched->now(),
                  "lookahead violated: a cross-partition message arrived in "
                  "the past");
@@ -297,6 +300,7 @@ void Engine::merge_mailboxes_into(PartitionState& dst) {
     dst.sched->schedule_construct_at<World::DeliveryEvent>(m.deliver_at, w,
                                                            std::move(m.env));
   }
+  for (auto& src : parts) src->outbox[dst.index].clear();
 }
 
 void Engine::merge_tracers() {

@@ -18,8 +18,8 @@
 // the past".  Cross-partition sends are buffered in per-(src, dst) mailboxes
 // (each written by exactly one partition per round, read only after the
 // round barrier) and merged into the destination queues in the fixed order
-// (deliver_time, global_seq, dst_node), which makes the total event order a
-// pure function of the simulation state: byte-identical output at any
+// (deliver_time, global_seq), which makes the total event order a pure
+// function of the simulation state: byte-identical output at any
 // worker-thread count, including one.
 //
 // The partition count is derived from the topology alone -- never from the
@@ -90,12 +90,22 @@ struct Mail {
   Envelope env;
 };
 
-// The fixed merge order: (deliver_time, global_seq, dst_node).  `seq` is
-// globally unique, so this is a total order however threads interleave.
-[[nodiscard]] inline bool mail_before(const Mail& a, const Mail& b) {
-  if (a.deliver_at != b.deliver_at) return a.deliver_at < b.deliver_at;
-  if (a.seq != b.seq) return a.seq < b.seq;
-  return a.env.dst.value() < b.env.dst.value();
+// What the merge sorts in place of the mail itself: one Mail's order and
+// where it waits.  The envelope then moves once, from its outbox straight
+// into its destination's event pool.
+struct MailKey {
+  Time deliver_at = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t src_part = 0;  // whose outbox holds the mail
+  std::uint32_t index = 0;     // its position in that outbox
+};
+
+// The fixed merge order: (deliver_time, global_seq).  `seq` is globally
+// unique, so this is a total order however threads interleave (two mails
+// never tie, so the destination node never needs to break one).
+[[nodiscard]] inline bool mail_before(const MailKey& a, const MailKey& b) {
+  return a.deliver_at != b.deliver_at ? a.deliver_at < b.deliver_at
+                                      : a.seq < b.seq;
 }
 
 // Everything one partition owns.  During a round, partition state is touched
@@ -117,8 +127,9 @@ struct PartitionState {
   // Single producer (this partition's worker), single consumer (dst's merge
   // step after the barrier).
   std::vector<std::vector<Mail>> outbox;
-  std::vector<Mail> merge_scratch;  // reused by the merge step (no per-round
-                                    // allocation in the steady state)
+  // The merge step's sort keys for mail bound here, reused every round (no
+  // per-round allocation in the steady state).
+  std::vector<MailKey> merge_keys;
 };
 
 namespace detail {

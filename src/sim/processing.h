@@ -8,7 +8,6 @@
 // is not charged.
 #pragma once
 
-#include <functional>
 #include <utility>
 
 #include "sim/world.h"
@@ -16,15 +15,16 @@
 namespace dq::sim {
 
 // Run `fn` after the topology's processing delay at `node` (immediately if
-// the delay is zero).
-inline void defer_processing(World& world, NodeId node,
-                             std::function<void()> fn) {
+// the delay is zero).  The callable goes straight to World::set_timer, so a
+// small capture waits in the scheduler's inline event pool.
+template <typename F>
+void defer_processing(World& world, NodeId node, F&& fn) {
   const Duration d = world.topology().processing_delay();
   if (d <= 0) {
     fn();
     return;
   }
-  world.set_timer(node, d, std::move(fn));
+  world.set_timer(node, d, std::forward<F>(fn));
 }
 
 }  // namespace dq::sim

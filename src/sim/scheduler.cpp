@@ -1,6 +1,7 @@
 #include "sim/scheduler.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/assert.h"
 
@@ -41,11 +42,11 @@ std::size_t Scheduler::run_until(Time deadline) {
   std::size_t ran = 0;
   while (!heap_.empty()) {
     const HeapEntry top = heap_.front();
-    Slot& s = slot(top.slot);
-    if (!s.armed || s.gen != top.gen) {
-      heap_pop_root();  // lazily deleted (cancelled) entry
+    if (!is_live(top)) {
+      heap_pop_root();  // cancelled entry
       continue;
     }
+    Slot& s = slot(top.slot);
     if (top.when > deadline) break;
     heap_pop_root();
     DQ_INVARIANT(top.when >= now_, "event queue must be monotone");
@@ -71,9 +72,8 @@ std::size_t Scheduler::run_until(Time deadline) {
 Time Scheduler::next_event_time() {
   while (!heap_.empty()) {
     const HeapEntry& top = heap_.front();
-    const Slot& s = slot(top.slot);
-    if (s.armed && s.gen == top.gen) return top.when;
-    heap_pop_root();  // lazily deleted (cancelled) entry
+    if (is_live(top)) return top.when;
+    heap_pop_root();  // cancelled entry
   }
   return kTimeInfinity;
 }
@@ -94,6 +94,10 @@ void Scheduler::cancel_event(std::uint32_t slot_idx, std::uint32_t gen) {
   s.fn.reset();
   release_slot(slot_idx);
   --live_;
+  if (heap_.size() >= kCompactMinEntries &&
+      heap_.size() > kCompactRatio * live_) {
+    compact();
+  }
 }
 
 bool Scheduler::event_pending(std::uint32_t slot_idx,
@@ -120,9 +124,11 @@ void Scheduler::heap_push(const HeapEntry& e) {
 void Scheduler::heap_pop_root() {
   const HeapEntry hole = heap_.back();
   heap_.pop_back();
-  if (heap_.empty()) return;
+  if (!heap_.empty()) sift_down(0, hole);
+}
+
+void Scheduler::sift_down(std::size_t i, HeapEntry e) {
   const std::size_t n = heap_.size();
-  std::size_t i = 0;
   for (;;) {
     const std::size_t first = 4 * i + 1;
     if (first >= n) break;
@@ -131,11 +137,21 @@ void Scheduler::heap_pop_root() {
     for (std::size_t c = first + 1; c < last; ++c) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
-    if (!earlier(heap_[best], hole)) break;
+    if (!earlier(heap_[best], e)) break;
     heap_[i] = heap_[best];
     i = best;
   }
-  heap_[i] = hole;
+  heap_[i] = e;
+}
+
+void Scheduler::compact() {
+  std::erase_if(heap_, [this](const HeapEntry& e) { return !is_live(e); });
+  // Floyd: sift every parent down, last parent first.  Keys are unique, so
+  // the rebuilt heap pops the live events in exactly the order it would
+  // have.
+  const std::size_t n = heap_.size();
+  if (n < 2) return;
+  for (std::size_t i = (n - 2) / 4 + 1; i-- > 0;) sift_down(i, heap_[i]);
 }
 
 }  // namespace dq::sim

@@ -18,8 +18,13 @@
 //     entries.  The workload is pop-heavy (every push is eventually popped,
 //     and pops dominate comparisons); a wider node trades cheaper, better-
 //     cached sift-downs for slightly more comparisons per level.
-//   * Cancellation is O(1) and lazy: the slot's generation is bumped and the
-//     slot freed immediately; the stale heap entry is skipped when popped.
+//   * Cancellation is amortized O(1): the slot's generation is bumped and
+//     the slot freed immediately, and the stale heap entry is skipped when
+//     popped.  A timer that is almost always cancelled long before it is
+//     due (QRPC's retry timer) would leave the heap mostly dead, so once
+//     dead entries outnumber live ones a cancel drops them all and rebuilds
+//     the heap in O(size) -- paid for by the cancels that made them.  Live
+//     entries pop in their unique (when, seq) order either way.
 //     TimerToken is a generation-checked pool index, not a shared_ptr.
 #pragma once
 
@@ -107,7 +112,7 @@ class Scheduler {
   [[nodiscard]] std::size_t executed_events() const { return executed_; }
 
   // Timestamp of the earliest pending event, or kTimeInfinity when the queue
-  // is empty.  Prunes lazily-cancelled heap entries on the way (which is why
+  // is empty.  Prunes cancelled heap entries on the way (which is why
   // it is not const) so the answer reflects only live events.  The parallel
   // world engine polls this per synchronization round to size the next safe
   // execution window.
@@ -124,6 +129,16 @@ class Scheduler {
   // throughput bench: a steady pool size means the hot loop is recycling
   // slots instead of growing.
   [[nodiscard]] std::size_t pool_slots() const { return num_slots_; }
+
+  // Heap entries, live and cancelled.  Introspection for tests and the
+  // throughput bench: after any cancel it is at most
+  // max(kCompactMinEntries, kCompactRatio * live events).
+  [[nodiscard]] std::size_t queued_entries() const { return heap_.size(); }
+
+  // A cancel compacts the heap once it holds at least kCompactMinEntries
+  // entries and more than kCompactRatio per live event.
+  static constexpr std::size_t kCompactMinEntries = 64;
+  static constexpr std::size_t kCompactRatio = 2;
 
  private:
   friend class TimerToken;
@@ -163,12 +178,23 @@ class Scheduler {
   [[nodiscard]] bool event_pending(std::uint32_t slot_idx,
                                    std::uint32_t gen) const;
 
+  // Does `e` still name its slot's pending event (not fired, cancelled, or
+  // reused)?
+  [[nodiscard]] bool is_live(const HeapEntry& e) const {
+    const Slot& s = slot(e.slot);
+    return s.armed && s.gen == e.gen;
+  }
+
   // 4-ary min-heap over (when, seq).
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
   void heap_push(const HeapEntry& e);
   void heap_pop_root();
+  // Place `e` at position i or below, moving earlier children up.
+  void sift_down(std::size_t i, HeapEntry e);
+  // Drop every dead entry and rebuild the heap bottom-up (Floyd).
+  void compact();
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;

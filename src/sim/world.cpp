@@ -136,8 +136,8 @@ void World::route(Envelope&& env, Duration delay) {
   const bool in_step = cur != nullptr && cur->world == this;
   if (in_step && dst_part != cur->index) {
     // Cross-partition: park in the outbox until the round barrier; the
-    // engine merges all mailboxes in (deliver_time, global_seq, dst_node)
-    // order, which fixes the total order independent of threads.
+    // engine merges all mailboxes in (deliver_time, global_seq) order,
+    // which fixes the total order independent of threads.
     cur->outbox[dst_part].push_back(par::Mail{
         cur->sched->now() + delay,
         (static_cast<std::uint64_t>(cur->index) << 40) | ++cur->send_seq,

@@ -204,6 +204,10 @@ ExperimentResult Deployment::run() {
 
 ExperimentResult Deployment::collect() {
   ExperimentResult r;
+  std::size_t ops = 0;
+  for (const auto& c : clients_) ops += c->history().size();
+  for (const auto& g : generators_) ops += g->history().size();
+  r.history.reserve(ops);
   for (const auto& c : clients_) {
     r.history.append(c->history());
     r.rejected_reads += c->rejected_reads();

@@ -47,6 +47,8 @@ struct Violation {
 class History {
  public:
   void record(OpRecord op) { ops_.push_back(std::move(op)); }
+  // Room for n records in all, so recording up to n never relocates.
+  void reserve(std::size_t n) { ops_.reserve(n); }
   void append(const History& other) {
     ops_.insert(ops_.end(), other.ops_.begin(), other.ops_.end());
   }

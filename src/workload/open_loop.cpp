@@ -95,10 +95,13 @@ RateModel::RateModel(double base_hz, double amplitude, sim::Duration period,
                "diurnal amplitude must be in [0, 1)");
 }
 
+namespace {
+constexpr double kTwoPi = 6.283185307179586;
+}  // namespace
+
 double RateModel::rate_at(sim::Time t) const {
   double r = base_hz_;
   if (amplitude_ != 0.0) {
-    constexpr double kTwoPi = 6.283185307179586;
     r *= 1.0 + amplitude_ * std::sin(kTwoPi * static_cast<double>(t) /
                                      period_ns_);
   }
@@ -113,6 +116,29 @@ double RateModel::max_rate(sim::Time t0, sim::Time t1) const {
     r *= flash_->multiplier;
   }
   return r;
+}
+
+double RateModel::expected_arrivals(sim::Time t0, sim::Time t1) const {
+  // The diurnal rate integrated over [a, b), in arrivals (rates are Hz,
+  // times ns).
+  const auto diurnal = [this](double a, double b) {
+    if (b <= a) return 0.0;
+    const double wave = amplitude_ * period_ns_ / kTwoPi *
+                        (std::cos(kTwoPi * a / period_ns_) -
+                         std::cos(kTwoPi * b / period_ns_));
+    return base_hz_ * (b - a + wave) * 1e-9;
+  };
+  const auto a = static_cast<double>(t0);
+  const auto b = static_cast<double>(t1);
+  double n = diurnal(a, b);
+  if (flash_) {
+    // The flash scales the rate by its multiplier where it overlaps.
+    const auto fs = static_cast<double>(flash_->start);
+    const auto fe = static_cast<double>(flash_->start + flash_->duration);
+    n += (flash_->multiplier - 1.0) *
+         diurnal(std::max(a, fs), std::min(b, fe));
+  }
+  return std::max(n, 0.0);
 }
 
 void RateModel::draw_arrivals(Rng& rng, sim::Time t0, sim::Time t1,
@@ -176,6 +202,17 @@ void SiteGenerator::start() {
   site_latency_ = &m.histogram("site.latency_ms." + site);
   home_ = world().topology().home_of(id());
   next_window_ = world().now();
+  if (params_.ol.track_replies) {
+    // Every arrival ends up in the history, so reserve the expected count
+    // plus Poisson headroom (four standard deviations) once: recording then
+    // never relocates the records already held.  Reserved pages nobody
+    // touches cost address space, not memory; a run past the reserve grows
+    // as usual.
+    const double mean =
+        rate_.expected_arrivals(next_window_, params_.ol.horizon);
+    history_.reserve(
+        static_cast<std::size_t>(std::ceil(mean + 4.0 * std::sqrt(mean))));
+  }
   world().set_timer(id(), 0, [this] { run_batch(); });
 }
 

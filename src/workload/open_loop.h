@@ -199,6 +199,9 @@ class RateModel {
            t < flash_->start + flash_->duration;
   }
 
+  // The expected number of arrivals in [t0, t1): the integral of rate_at.
+  [[nodiscard]] double expected_arrivals(sim::Time t0, sim::Time t1) const;
+
   // Append the arrivals in [t0, t1) to `out` (ascending by construction).
   void draw_arrivals(Rng& rng, sim::Time t0, sim::Time t1,
                      std::vector<sim::Time>& out) const;

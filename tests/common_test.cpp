@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -103,32 +102,6 @@ TEST(Rng, ExponentialHasRequestedMean) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += r.exponential(50.0);
   EXPECT_NEAR(sum / n, 50.0, 2.0);
-}
-
-TEST(Rng, SampleWithoutReplacementIsDistinctSubset) {
-  Rng r(5);
-  for (int trial = 0; trial < 50; ++trial) {
-    auto s = r.sample_without_replacement(10, 4);
-    ASSERT_EQ(s.size(), 4u);
-    std::set<std::size_t> uniq(s.begin(), s.end());
-    EXPECT_EQ(uniq.size(), 4u);
-    for (auto x : s) EXPECT_LT(x, 10u);
-  }
-}
-
-TEST(Rng, SampleRequestingAllReturnsAll) {
-  Rng r(5);
-  auto s = r.sample_without_replacement(4, 9);
-  EXPECT_EQ(s.size(), 4u);
-}
-
-TEST(Rng, SampleCoversAllElementsEventually) {
-  Rng r(6);
-  std::set<std::size_t> seen;
-  for (int i = 0; i < 200; ++i) {
-    for (auto x : r.sample_without_replacement(6, 2)) seen.insert(x);
-  }
-  EXPECT_EQ(seen.size(), 6u);
 }
 
 TEST(DriftClock, PerfectClockIsIdentity) {

@@ -168,6 +168,60 @@ TEST(RateModel, FlashCrowdMultipliesRate) {
   EXPECT_NEAR(static_cast<double>(during.size()), 4000.0, 300.0);
 }
 
+TEST(RateModel, ExpectedArrivalsIntegratesTheRate) {
+  // The diurnal integral, over whole and partial periods.
+  const double base = 2000.0, amp = 0.6;
+  const RateModel wave(base, amp, sim::seconds(4), std::nullopt);
+  auto integral = [&](double a, double b) {  // seconds
+    constexpr double kTwoPi = 6.283185307179586;
+    return base * ((b - a) - amp * 4.0 / kTwoPi *
+                                 (std::cos(kTwoPi * b / 4.0) -
+                                  std::cos(kTwoPi * a / 4.0)));
+  };
+  EXPECT_NEAR(wave.expected_arrivals(0, sim::seconds(8)), 16000.0, 1e-6);
+  EXPECT_NEAR(wave.expected_arrivals(0, sim::seconds(1)), integral(0, 1),
+              1e-6);
+  EXPECT_NEAR(wave.expected_arrivals(sim::milliseconds(2500), sim::seconds(7)),
+              integral(2.5, 7.0), 1e-6);
+  EXPECT_EQ(wave.expected_arrivals(sim::seconds(3), sim::seconds(3)), 0.0);
+  // A flash multiplies the rate only where it overlaps the interval.
+  FlashCrowd flash;
+  flash.start = sim::seconds(2);
+  flash.duration = sim::seconds(1);
+  flash.multiplier = 4.0;
+  const RateModel spiky(1000.0, 0.0, sim::seconds(60), flash);
+  EXPECT_NEAR(spiky.expected_arrivals(0, sim::seconds(8)), 11000.0, 1e-6);
+  EXPECT_NEAR(spiky.expected_arrivals(sim::milliseconds(2500), sim::seconds(4)),
+              3000.0, 1e-6);
+  EXPECT_NEAR(spiky.expected_arrivals(0, sim::seconds(1)), 1000.0, 1e-6);
+}
+
+TEST(SiteGenerator, ReservesItsExpectedHistoryOnlyWhenTrackingReplies) {
+  // 1 000 clients at 1 Hz for 2 s: 2 000 expected arrivals, reserved with
+  // four standard deviations of headroom when replies are tracked; a
+  // fire-and-forget generator records nothing and reserves nothing.
+  for (const bool track : {true, false}) {
+    sim::Topology::Params tp;
+    tp.num_servers = 1;
+    tp.num_clients = 1;
+    sim::World w{sim::Topology(tp), 1};
+    SiteGenerator::Params p;
+    p.ol.clients_per_site = 1000;
+    p.ol.client_rate_hz = 1.0;
+    p.ol.objects = 16;
+    p.ol.horizon = sim::seconds(2);
+    p.ol.track_replies = track;
+    SiteGenerator g(p);
+    w.attach(w.topology().client(0), g);
+    g.start();
+    const std::size_t want =
+        track ? static_cast<std::size_t>(
+                    std::ceil(2000.0 + 4.0 * std::sqrt(2000.0)))
+              : 0;
+    EXPECT_EQ(g.history().ops().capacity(), want) << "track=" << track;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end open-loop trials
 

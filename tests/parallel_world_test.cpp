@@ -2,7 +2,7 @@
 //
 //   1. WORKER-THREAD COUNT IS UNOBSERVABLE.  The partition plan is a pure
 //      function of the topology, cross-partition mail merges in a fixed
-//      (deliver_time, global_seq, dst_node) order, and every shared metrics
+//      (deliver_time, global_seq) order, and every shared metrics
 //      instrument is laned -- so a dq.report.v1 document rendered at
 //      --world-threads 8 must be byte-identical to one from --world-threads
 //      1 (same partitioned schedule, different concurrency).
@@ -18,9 +18,12 @@
 // plan's (different rng stream assignment, different cross-partition
 // interleaving) -- callers opt in -- so there is no cross-plan equality
 // test, only cross-thread-count.
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,6 +187,88 @@ TEST(ParallelWorld, CrossPartitionDeliveryOrderIsDeterministic) {
   EXPECT_EQ(at1.size(), 112u);  // 56 requests + 56 replies, none lost
   EXPECT_EQ(at1, run_once(4));
   EXPECT_EQ(at1, run_once(8));
+}
+
+// Keeps every envelope it receives, with its arrival time.
+class Inbox final : public Actor {
+ public:
+  void on_message(const Envelope& env) override {
+    got.push_back({world().now(), env});
+  }
+  std::vector<std::pair<Time, Envelope>> got;
+};
+
+TEST(ParallelWorld, MergedMailArrivesIntactInDeliverTimeSeqOrder) {
+  // Three source partitions each send one burst of four messages to a
+  // fourth, with departures staggered so each burst's deliver times run
+  // out of send order and tie across the sources.  The merge must hand
+  // every envelope over intact -- source, rpc id and a heap-allocated
+  // payload string -- in (deliver_at, seq) order: time first, then by
+  // source partition (seq's high bits), then in send order.
+  Topology::Params tp;
+  tp.num_servers = 4;
+  tp.num_clients = 0;
+  const std::vector<Duration> depart = {milliseconds(2), 0, milliseconds(2),
+                                        milliseconds(1)};
+  auto value = [](std::uint32_t src, std::size_t k) {
+    return "source " + std::to_string(src) + " message " + std::to_string(k) +
+           ": a payload too long for the small-string buffer";
+  };
+  auto run_once = [&](std::size_t threads) {
+    World w(Topology(tp), 3, World::Parallelism{4, threads});
+    Inbox sink;
+    std::vector<Echo> senders(3);
+    for (std::uint32_t i = 0; i < 3; ++i) w.attach(NodeId(i), senders[i]);
+    w.attach(NodeId(3), sink);
+    for (std::uint32_t src = 0; src < 3; ++src) {
+      w.set_timer(NodeId(src), 0, [&, src] {
+        for (std::size_t k = 0; k < depart.size(); ++k) {
+          msg::AppRequest req;
+          req.op = msg::OpKind::kWrite;
+          req.object = ObjectId(10 * src + k);
+          req.value = value(src, k);
+          w.send_at(NodeId(src), NodeId(3), depart[k],
+                    RequestId(100 * src + k), std::move(req));
+        }
+      });
+    }
+    w.run_all();
+    return sink.got;
+  };
+
+  // Expected: sorted by (deliver time, source partition, send index).
+  struct Want {
+    Time at;
+    std::uint32_t src;
+    std::size_t k;
+  };
+  std::vector<Want> want;
+  for (std::uint32_t src = 0; src < 3; ++src) {
+    for (std::size_t k = 0; k < depart.size(); ++k) {
+      want.push_back({depart[k] + milliseconds(40), src, k});
+    }
+  }
+  std::stable_sort(want.begin(), want.end(), [](const Want& a, const Want& b) {
+    return a.at != b.at ? a.at < b.at : a.src < b.src;
+  });
+
+  for (const std::size_t threads : {1u, 3u}) {
+    const auto got = run_once(threads);
+    ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const auto& [at, env] = got[i];
+      const Want& w = want[i];
+      EXPECT_EQ(at, w.at) << "delivery " << i;
+      EXPECT_EQ(env.src, NodeId(w.src)) << "delivery " << i;
+      EXPECT_EQ(env.dst, NodeId(3));
+      EXPECT_EQ(env.rpc_id, RequestId(100 * w.src + w.k)) << "delivery " << i;
+      EXPECT_FALSE(env.is_reply);
+      const auto* req = std::get_if<msg::AppRequest>(&env.body);
+      ASSERT_NE(req, nullptr) << "delivery " << i;
+      EXPECT_EQ(req->object, ObjectId(10 * w.src + w.k));
+      EXPECT_EQ(req->value, value(w.src, w.k)) << "delivery " << i;
+    }
+  }
 }
 
 TEST(ParallelWorld, RunUntilAdvancesEveryPartitionClock) {

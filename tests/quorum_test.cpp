@@ -4,17 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "quorum/quorum.h"
 
 namespace dq::quorum {
 namespace {
 
-std::vector<NodeId> nodes(std::size_t n) {
+// Members first, first + 1, ..., first + n - 1.
+std::vector<NodeId> nodes(std::size_t n, std::uint32_t first = 0) {
   std::vector<NodeId> out;
   for (std::size_t i = 0; i < n; ++i) {
-    out.emplace_back(static_cast<std::uint32_t>(i));
+    out.emplace_back(first + static_cast<std::uint32_t>(i));
   }
   return out;
 }
@@ -103,6 +107,129 @@ TEST(ThresholdQuorum, PickEventuallyCoversAllMembers) {
     for (NodeId m : q->pick(Kind::kWrite, rng, std::nullopt)) seen.insert(m);
   }
   EXPECT_EQ(seen.size(), 9u);
+}
+
+// What Rng::sample_without_replacement's tests checked, now that pick runs
+// the partial Fisher-Yates itself: a k-of-n sample is k distinct members,
+// a quorum of the whole pool is every member, and samples cover the pool.
+TEST(ThresholdQuorum, PickSamplesADistinctSubset) {
+  ThresholdQuorum q(nodes(10), 4, 7);
+  Rng rng(5);
+  for (int trial = 0; trial < 50; ++trial) {
+    const Pick picked = q.pick(Kind::kRead, rng, std::nullopt);
+    ASSERT_EQ(picked.size(), 4u);
+    std::set<NodeId> uniq(picked.begin(), picked.end());
+    EXPECT_EQ(uniq.size(), 4u);
+    for (NodeId m : picked) EXPECT_LT(m.value(), 10u);
+  }
+}
+
+TEST(ThresholdQuorum, PickOfTheWholePoolReturnsEveryMember) {
+  auto q = ThresholdQuorum::rowa(nodes(4));
+  Rng rng(5);
+  const Pick picked = q->pick(Kind::kWrite, rng, std::nullopt);
+  EXPECT_EQ(std::vector<NodeId>(picked.begin(), picked.end()), nodes(4));
+}
+
+TEST(ThresholdQuorum, PickSamplesCoverEveryMemberEventually) {
+  ThresholdQuorum q(nodes(6), 2, 5);
+  Rng rng(6);
+  std::set<NodeId> seen;
+  for (int i = 0; i < 200; ++i) {
+    for (NodeId m : q.pick(Kind::kRead, rng, std::nullopt)) seen.insert(m);
+  }
+  EXPECT_EQ(seen.size(), 6u);
+}
+
+// --- pinned picks ------------------------------------------------------------
+//
+// Every expected value below was captured from the pick this one replaced
+// (which built its sample through Rng::sample_without_replacement): QRPC
+// quorums, and every rng draw after one, must stay exactly as they were.
+// `next` is the generator's next draw after the pick, which pins its state.
+
+struct Pinned {
+  std::uint64_t seed;
+  std::vector<std::uint32_t> ids;
+  std::uint64_t next;
+};
+
+void expect_pinned(const QuorumSystem& q, Kind kind,
+                   std::optional<NodeId> prefer,
+                   const std::vector<Pinned>& cases) {
+  for (const Pinned& c : cases) {
+    Rng rng(c.seed);
+    const Pick picked = q.pick(kind, rng, prefer);
+    std::vector<std::uint32_t> ids;
+    for (NodeId n : picked) ids.push_back(n.value());
+    EXPECT_EQ(ids, c.ids) << "seed " << c.seed;
+    EXPECT_EQ(rng(), c.next) << "seed " << c.seed;
+  }
+}
+
+// A fresh generator's first draw for seeds 1, 7 and 42: a pick that leaves
+// it there drew nothing.
+constexpr std::uint64_t kFirst1 = 0xb3f2af6d0fc710c5ULL;
+constexpr std::uint64_t kFirst7 = 0xb358faf74ef9765aULL;
+constexpr std::uint64_t kFirst42 = 0x15780b2e0c2ec716ULL;
+
+TEST(PinnedPick, PreferredNodeAloneIsTheQuorumAndDrawsNothing) {
+  auto q = ThresholdQuorum::read_one(nodes(5, 10));
+  expect_pinned(*q, Kind::kRead, NodeId(12),
+                {{1, {12}, kFirst1}, {7, {12}, kFirst7}, {42, {12}, kFirst42}});
+}
+
+TEST(PinnedPick, ThresholdSampleSmallerThanThePool) {
+  auto one = ThresholdQuorum::read_one(nodes(5, 10));
+  expect_pinned(*one, Kind::kRead, std::nullopt,
+                {{1, {12}, 0x853b559647364ceaULL},
+                 {7, {14}, 0x475c3d964f482cd2ULL},
+                 {42, {12}, 0x6104d9866d113a7eULL}});
+  auto maj = ThresholdQuorum::majority(nodes(5, 10));
+  expect_pinned(*maj, Kind::kRead, NodeId(12),
+                {{1, {12, 11, 13}, 0x92f89756082a4514ULL},
+                 {7, {12, 13, 14}, 0xd6f1d349952c7996ULL},
+                 {42, {12, 13, 11}, 0xae17533239e499a1ULL}});
+  const std::vector<Pinned> no_prefer = {
+      {1, {12, 13, 14}, 0x642e1c7bc266a3a7ULL},
+      {7, {14, 13, 12}, 0xfb2938731e807240ULL},
+      {42, {12, 13, 14}, 0xecb8ad4703b360a1ULL}};
+  expect_pinned(*maj, Kind::kWrite, std::nullopt, no_prefer);
+  // A non-member preference is ignored: the same draws as no preference.
+  expect_pinned(*maj, Kind::kRead, NodeId(99), no_prefer);
+}
+
+TEST(PinnedPick, QuorumOfTheWholePoolTakesItInOrderWithoutDraws) {
+  auto q = ThresholdQuorum::rowa(nodes(5, 10));
+  expect_pinned(*q, Kind::kWrite, NodeId(12),
+                {{1, {12, 10, 11, 13, 14}, kFirst1},
+                 {7, {12, 10, 11, 13, 14}, kFirst7},
+                 {42, {12, 10, 11, 13, 14}, kFirst42}});
+  expect_pinned(*q, Kind::kWrite, std::nullopt,
+                {{1, {10, 11, 12, 13, 14}, kFirst1},
+                 {7, {10, 11, 12, 13, 14}, kFirst7},
+                 {42, {10, 11, 12, 13, 14}, kFirst42}});
+}
+
+TEST(PinnedPick, GridPicks) {
+  GridQuorum g(nodes(9, 10), 3, 3);
+  expect_pinned(g, Kind::kRead, NodeId(14),
+                {{1, {13, 14, 15}, 0x92f89756082a4514ULL},
+                 {7, {10, 14, 18}, 0xd6f1d349952c7996ULL},
+                 {42, {10, 14, 12}, 0xae17533239e499a1ULL}});
+  expect_pinned(g, Kind::kRead, std::nullopt,
+                {{1, {13, 14, 18}, 0x642e1c7bc266a3a7ULL},
+                 {7, {10, 17, 12}, 0xfb2938731e807240ULL},
+                 {42, {10, 11, 18}, 0xecb8ad4703b360a1ULL}});
+  expect_pinned(g, Kind::kWrite, NodeId(14),
+                {{1, {13, 14, 15, 12, 18}, 0x642e1c7bc266a3a7ULL},
+                 {7, {10, 14, 18, 13, 16}, 0xfb2938731e807240ULL},
+                 {42, {10, 14, 12, 15, 18}, 0xecb8ad4703b360a1ULL}});
+  GridQuorum wide(nodes(8, 10), 2, 4);
+  expect_pinned(wide, Kind::kWrite, std::nullopt,
+                {{1, {14, 11, 12, 17, 13}, 0x24c123126ffda722ULL},
+                 {7, {10, 11, 12, 13, 14}, 0xdf6e1ce3b6218c49ULL},
+                 {42, {10, 11, 16, 17, 14}, 0xc50da53101795238ULL}});
 }
 
 TEST(ThresholdQuorum, IsQuorumCountsOnlyMembers) {

@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/parallel_world.h"
 #include "sim/scheduler.h"
 
@@ -273,21 +278,23 @@ TEST(Scheduler, NextEventTimeTracksEarliestPending) {
 TEST(Scheduler, CrossPartitionTiesPopInTimeSeqNodeOrder) {
   // Two partitions emit mail for the same destination partition at the SAME
   // deliver time.  Which worker thread parks its outbox first is scheduling
-  // noise; the merge order (deliver_time, global_seq, dst_node) must not
-  // be.  Build the same mail set in two insertion orders (two thread
-  // interleavings), run each through the merge sort + a scheduler, and
-  // demand the identical pop order.
-  auto mail = [](Time at, std::uint32_t src_part, std::uint64_t n,
-                 std::uint32_t dst_node) {
-    return par::Mail{at, (static_cast<std::uint64_t>(src_part) << 40) | n,
-                     Envelope{NodeId(0), NodeId(dst_node), RequestId(0),
-                              msg::DqRead{ObjectId(0)}, false}};
+  // noise; the merge order (deliver_time, global_seq) must not be (seq is
+  // globally unique, so the destination node never has to break a tie).
+  // Build the same key set in two insertion orders (two thread
+  // interleavings), sort each with the engine's merge comparator, run it
+  // through a scheduler, and demand the identical pop order.
+  auto key = [](Time at, std::uint32_t src_part, std::uint64_t n,
+                std::uint32_t index) {
+    return par::MailKey{at, (static_cast<std::uint64_t>(src_part) << 40) | n,
+                        src_part, index};
   };
-  const std::vector<par::Mail> from_p0 = {mail(50, 0, 1, 2), mail(50, 0, 2, 3)};
-  const std::vector<par::Mail> from_p1 = {mail(50, 1, 1, 2), mail(40, 1, 2, 3)};
+  const std::vector<par::MailKey> from_p0 = {key(50, 0, 1, 0),
+                                             key(50, 0, 2, 1)};
+  const std::vector<par::MailKey> from_p1 = {key(50, 1, 1, 0),
+                                             key(40, 1, 2, 1)};
 
   auto pop_order = [&](bool p0_first) {
-    std::vector<par::Mail> batch;
+    std::vector<par::MailKey> batch;
     const auto& a = p0_first ? from_p0 : from_p1;
     const auto& b = p0_first ? from_p1 : from_p0;
     batch.insert(batch.end(), a.begin(), a.end());
@@ -295,7 +302,7 @@ TEST(Scheduler, CrossPartitionTiesPopInTimeSeqNodeOrder) {
     std::sort(batch.begin(), batch.end(), par::mail_before);
     Scheduler s;
     std::vector<std::uint64_t> popped;
-    for (const par::Mail& m : batch) {
+    for (const par::MailKey& m : batch) {
       s.schedule_at(m.deliver_at, [&popped, seq = m.seq] {
         popped.push_back(seq);
       });
@@ -323,6 +330,137 @@ TEST(Scheduler, NextEventTimeDoesNotPerturbExecution) {
   EXPECT_EQ(s.next_event_time(), 5);  // peeking must not disturb FIFO ties
   s.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// --- cancelled entries do not pile up in the heap --------------------------
+
+// The heap holds at most this many entries right after a cancel.
+std::size_t heap_bound(std::size_t live) {
+  return std::max(Scheduler::kCompactMinEntries,
+                  Scheduler::kCompactRatio * live);
+}
+
+TEST(Scheduler, RandomOpsFireInTimeSeqOrder) {
+  // Differential test against a reference queue ordered by (when, seq):
+  // random schedules (with ties and far-future timers), cancels, and the
+  // same two operations from inside firing callbacks.  Every event must
+  // fire exactly when the reference says, however often cancels compact
+  // the heap underneath.
+  Scheduler s;
+  Rng rng(2024);
+  std::vector<TimerToken> tokens;  // by event id == scheduling order
+  std::set<std::pair<Time, std::uint64_t>> reference;
+  std::size_t fired = 0;
+  std::size_t compactions_seen = 0;
+
+  std::function<void(std::uint64_t)> on_fire;
+  auto schedule = [&](Time when) {
+    const std::uint64_t id = tokens.size();
+    reference.emplace(std::max(when, s.now()), id);
+    tokens.push_back(s.schedule_at(when, [&on_fire, id] { on_fire(id); }));
+  };
+  auto schedule_random = [&] {
+    // Mostly near (ties are common), sometimes a far-future "retry".
+    const bool far = rng.below(4) == 0;
+    const auto offset = static_cast<Time>(far ? 1000000 + rng.below(1000)
+                                              : rng.below(20));
+    schedule(s.now() + offset);
+  };
+  auto cancel_random = [&] {
+    if (reference.empty()) return;
+    const auto it = std::next(
+        reference.begin(),
+        static_cast<std::ptrdiff_t>(rng.below(reference.size())));
+    const std::size_t before = s.queued_entries();
+    tokens[it->second].cancel();
+    EXPECT_FALSE(tokens[it->second].pending());
+    reference.erase(it);
+    if (s.queued_entries() < before) ++compactions_seen;
+    EXPECT_LE(s.queued_entries(), heap_bound(reference.size()));
+  };
+  on_fire = [&](std::uint64_t id) {
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(reference.begin()->second, id) << "fired out of order";
+    EXPECT_EQ(reference.begin()->first, s.now());
+    reference.erase(reference.begin());
+    ++fired;
+    switch (rng.below(4)) {
+      case 0:
+        cancel_random();
+        break;
+      case 1:
+        schedule_random();
+        break;
+      case 2:
+        cancel_random();
+        schedule_random();
+        break;
+      default:
+        break;
+    }
+  };
+
+  for (int round = 0; round < 400; ++round) {
+    for (int i = 0; i < 30; ++i) {
+      if (rng.below(3) == 0) {
+        cancel_random();
+      } else {
+        schedule_random();
+      }
+    }
+    s.run_until(s.now() + static_cast<Time>(rng.below(30)));
+    const Time next = reference.empty() ? kTimeInfinity
+                                        : reference.begin()->first;
+    EXPECT_EQ(s.next_event_time(), next);
+  }
+  s.run_all();
+  EXPECT_TRUE(reference.empty());
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.executed_events(), fired);
+  EXPECT_GT(fired, 1000u);
+  EXPECT_GT(compactions_seen, 0u) << "the test never compacted the heap";
+}
+
+TEST(Scheduler, CancelledRetryTimersDoNotPileUp) {
+  // QRPC's pattern: every event arms a far-future retry timer and cancels
+  // the one its predecessor armed, so almost every timer is cancelled long
+  // before it is due.  Lazy deletion alone would keep every one of them in
+  // the heap until its due time; the heap must instead stay within
+  // max(kCompactMinEntries, kCompactRatio * live) after every cancel.
+  constexpr std::size_t kChains = 40;
+  Scheduler s;
+  std::vector<TimerToken> retry(kChains);
+  std::vector<TimerToken> step(kChains);
+  int remaining = 20000;
+  std::size_t worst = 0;
+  auto live = [&] {
+    std::size_t n = 0;
+    for (std::size_t c = 0; c < kChains; ++c) {
+      n += static_cast<std::size_t>(retry[c].pending()) +
+           static_cast<std::size_t>(step[c].pending());
+    }
+    return n;
+  };
+  std::function<void(std::size_t)> tick = [&](std::size_t c) {
+    retry[c].cancel();
+    EXPECT_LE(s.queued_entries(), heap_bound(live()));
+    worst = std::max(worst, s.queued_entries());
+    retry[c] = s.schedule_after(seconds(8), [] {});
+    if (--remaining > 0) {
+      step[c] = s.schedule_after(1 + static_cast<Duration>(c % 3),
+                                 [&tick, c] { tick(c); });
+    }
+  };
+  for (std::size_t c = 0; c < kChains; ++c) {
+    step[c] = s.schedule_at(0, [&tick, c] { tick(c); });
+  }
+  s.run_until(seconds(1));
+  EXPECT_LE(remaining, 0);
+  EXPECT_LE(worst, heap_bound(2 * kChains));
+  // The surviving retry timers still fire, each once.
+  const std::size_t before = s.executed_events();
+  s.run_all();
+  EXPECT_EQ(s.executed_events() - before, kChains);
 }
 
 }  // namespace
