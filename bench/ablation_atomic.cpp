@@ -2,8 +2,8 @@
 // to provide different consistency semantics (e.g. atomic semantics) and
 // comparing the cost difference").
 //
-// The atomic client (core/dq_atomic_client.h) confirms every read's value
-// at an IQS write quorum before returning.  This bench quantifies the cost:
+// The atomic client (DqAtomicServiceClient, protocols/dq_client.h) confirms
+// every read's value at an IQS write quorum before returning.  This bench quantifies the cost:
 // reads lose their locality (one WAN write-quorum round each), writes are
 // unchanged, and message counts rise accordingly.
 #include "bench_util.h"

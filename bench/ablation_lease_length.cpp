@@ -6,7 +6,7 @@
 // (L = infinity) is the degenerate end: a blocked write waits for the
 // reader to return.
 #include "bench_util.h"
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 
 using namespace dq;
 using namespace dq::bench;

@@ -4,7 +4,7 @@
 // of each object pays a renewal round trip (a "miss storm").  One
 // DqVolFetch per IQS member warms the whole volume in a single exchange.
 #include "bench_util.h"
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 
 using namespace dq;
 using namespace dq::bench;

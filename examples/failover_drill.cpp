@@ -14,7 +14,7 @@
 //   $ ./failover_drill
 #include <cstdio>
 
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 #include "workload/experiment.h"
 
 using namespace dq;

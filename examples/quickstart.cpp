@@ -5,7 +5,7 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 #include "workload/experiment.h"
 
 using namespace dq;

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 #include "workload/experiment.h"
 
 using namespace dq;

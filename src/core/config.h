@@ -4,7 +4,7 @@
 // The basic dual-quorum protocol of section 3.1 is DQVL configured with an
 // infinite volume lease: leases then never expire, so every write either
 // suppresses (cached copy known-invalid) or invalidates through -- exactly
-// the basic protocol.  `basic()` below builds that configuration.
+// the basic protocol.
 #pragma once
 
 #include <cstddef>
@@ -75,13 +75,6 @@ struct DqConfig {
     c.oqs = quorum::ThresholdQuorum::read_one(std::move(oqs_members));
     c.iqs = quorum::ThresholdQuorum::majority(std::move(iqs_members));
     c.lease_length = lease;
-    return c;
-  }
-
-  static DqConfig basic(std::vector<NodeId> oqs_members,
-                        std::vector<NodeId> iqs_members) {
-    DqConfig c = headline(std::move(oqs_members), std::move(iqs_members));
-    c.lease_length = sim::kTimeInfinity;
     return c;
   }
 };

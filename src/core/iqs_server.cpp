@@ -183,6 +183,7 @@ void IqsServer::on_recover() {
         break;
     }
   });
+  recovered_mark_ = clock_reserved_;
   reserve_clock();
   // Advance every recovered pair's epoch (durably, before any new grant can
   // expose it): all object leases granted by the pre-crash incarnation die
@@ -338,8 +339,17 @@ bool IqsServer::node_safe(NodeId j, ObjectId o, const ObjState& os,
   if (ack >= lc) return true;
   // (a') i knows j's copy is invalid: j acked an invalidation after the last
   // renewal of o by any OQS node, and can only re-validate by renewing from
-  // an IQS read quorum (which would observe the new value).
-  if (cfg_->suppression_enabled && os.last_read < ack) return true;
+  // an IQS read quorum (which would observe the new value).  Inside the
+  // recovery grace window the crash has wiped last_read, and j may still
+  // hold a pre-crash grant at the acked clock itself, which that
+  // invalidation left valid.  Every clock the pre-crash incarnation granted
+  // lies below recovered_mark_, so only an ack at or above the mark
+  // supersedes such a grant.
+  const bool grace = in_recovery_grace();
+  if (cfg_->suppression_enabled && os.last_read < ack &&
+      (!grace || ack.counter >= recovered_mark_)) {
+    return true;
+  }
   // Cases (a'') and (b) read this node's lease bookkeeping and treat an
   // absent or expired entry as "j cannot be serving stale data".  During
   // the recovery grace window that inference is wrong -- the holders and
@@ -347,7 +357,6 @@ bool IqsServer::node_safe(NodeId j, ObjectId o, const ObjState& os,
   // j may still hold live pre-crash leases.  Both cases are skipped until
   // every pre-crash lease has provably expired; writes fall through to (c)
   // and invalidate an OQS write quorum outright.
-  const bool grace = in_recovery_grace();
   // (a'') j holds no live object lease on o FROM THIS NODE -- it never
   // renewed o here, or its finite object lease (footnote 4) lapsed.
   // Condition C requires a valid object lease from every member of the read

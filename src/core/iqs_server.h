@@ -219,6 +219,9 @@ class IqsServer {
   // mark costs one durable record per kClockBlock writes, not per write.
   static constexpr std::uint64_t kClockBlock = 64;
   std::uint64_t clock_reserved_ = 0;
+  // The reservation recovered from the WAL at the last restart: every clock
+  // the pre-crash incarnation granted lies below it (see node_safe (a')).
+  std::uint64_t recovered_mark_ = 0;
   void reserve_clock();
   // Object records are found by id through a lookup-only index.  A walk
   // whose order reaches the wire or the event schedule -- handle_vol_fetch's

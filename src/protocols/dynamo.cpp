@@ -7,6 +7,14 @@
 #include "sim/processing.h"
 
 namespace dq::protocols {
+namespace {
+
+// Period of the hinted-handoff round.
+constexpr sim::Duration kHandoffInterval = sim::seconds(1);
+// How long a completed read keeps collecting replies before repairing.
+constexpr sim::Duration kRepairLinger = sim::milliseconds(800);
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Server
@@ -27,7 +35,7 @@ DynamoServer::DynamoServer(sim::World& world, NodeId self,
 }
 
 void DynamoServer::start_handoff() {
-  world_.set_timer(self_, cfg_->handoff_interval, [this] {
+  world_.set_timer(self_, kHandoffInterval, [this] {
     handoff_round();
     start_handoff();
   });
@@ -162,7 +170,7 @@ std::uint64_t DynamoCoordinator::start_op(Op op) {
   const std::uint64_t id = rpc.value();
   op.pref = preference_list(op.object);
   op.fanout = std::min(cfg_->n, op.pref.size());
-  op.cur_timeout = cfg_->rpc.initial_timeout;
+  op.cur_timeout = rpc::kInitialTimeout;
   if (cfg_->rpc.deadline < sim::kTimeInfinity) {
     op.deadline_at = world_.now() + cfg_->rpc.deadline;
   }
@@ -225,8 +233,8 @@ void DynamoCoordinator::on_retry(std::uint64_t id) {
   transmit(id);
   op.cur_timeout = std::min(
       sim::Duration(static_cast<sim::Duration>(
-          static_cast<double>(op.cur_timeout) * cfg_->rpc.backoff)),
-      cfg_->rpc.max_timeout);
+          static_cast<double>(op.cur_timeout) * rpc::kBackoff)),
+      rpc::kMaxTimeout);
   arm_retry(id);
 }
 
@@ -236,14 +244,9 @@ void DynamoCoordinator::complete_read(std::uint64_t id) {
   op.retry.cancel();
   ReadCallback done = std::move(op.rdone);
   const VersionedValue result = op.best;
-  if (cfg_->read_repair) {
-    // Keep the op alive collecting replies, then repair stale responders.
-    op.linger = world_.set_timer(self_, cfg_->repair_linger,
-                                 [this, id] { finish_repair(id); });
-    done(true, result);
-    return;
-  }
-  ops_.erase(id);
+  // Keep the op alive collecting replies, then repair stale responders.
+  op.linger = world_.set_timer(self_, kRepairLinger,
+                               [this, id] { finish_repair(id); });
   done(true, result);
 }
 

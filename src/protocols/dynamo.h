@@ -42,10 +42,6 @@ struct DynamoConfig {
   std::size_t n = 3;         // home replicas per object
   std::size_t r = 1;         // read quorum
   std::size_t w = 2;         // write quorum
-  bool read_repair = true;
-  sim::Duration handoff_interval = sim::seconds(1);
-  // How long a completed read keeps collecting replies before repairing.
-  sim::Duration repair_linger = sim::milliseconds(800);
   rpc::QrpcOptions rpc;
   std::optional<store::WalParams> wal;
 };

@@ -6,6 +6,13 @@
 #include "sim/processing.h"
 
 namespace dq::protocols {
+namespace {
+
+// How long a key may stay invalid at a replica before the replica replays
+// the pending write itself (lost VAL or crashed coordinator).
+constexpr sim::Duration kReplayInterval = sim::seconds(3);
+
+}  // namespace
 
 HermesServer::HermesServer(sim::World& world, NodeId self,
                            std::shared_ptr<const HermesConfig> cfg)
@@ -178,7 +185,7 @@ void HermesServer::flush_reads(ObjectId o) {
 
 void HermesServer::arm_replay(ObjectId o) {
   if (replay_timers_.count(o) != 0) return;
-  replay_timers_[o] = world_.set_timer(self_, cfg_->replay_interval, [this, o] {
+  replay_timers_[o] = world_.set_timer(self_, kReplayInterval, [this, o] {
     replay_timers_.erase(o);
     if (is_valid(o)) {
       flush_reads(o);
@@ -223,39 +230,6 @@ void HermesServer::on_recover() {
   for (const auto& [o, lc] : store_.digest()) {
     if (lc != LogicalClock{}) arm_replay(o);
   }
-}
-
-HermesClient::HermesClient(sim::World& world, NodeId self, NodeId target,
-                           rpc::QrpcOptions opts)
-    : world_(world), self_(self), engine_(world_, self_), opts_(opts),
-      target_only_(quorum::ThresholdQuorum::majority({target})) {}
-
-void HermesClient::read(ObjectId o, ReadCallback done) {
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *target_only_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::HermesRead{o}; },
-      [best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::HermesReadReply>(&p)) {
-          *best = {r->value, r->clock};
-        }
-      },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); }, opts_);
-}
-
-void HermesClient::write(ObjectId o, Value value, WriteCallback done) {
-  auto got = std::make_shared<LogicalClock>();
-  engine_.call(
-      *target_only_, quorum::Kind::kWrite,
-      [o, value = std::move(value)](NodeId) -> std::optional<msg::Payload> {
-        return msg::HermesWrite{o, value};
-      },
-      [got](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::HermesWriteAck>(&p)) {
-          *got = r->clock;
-        }
-      },
-      [got, done = std::move(done)](bool ok) { done(ok, *got); }, opts_);
 }
 
 }  // namespace dq::protocols

@@ -24,7 +24,7 @@
 // Liveness under loss and coordinator crashes comes from replays: both INV
 // and VAL rounds run over the retransmitting QRPC engine, and any replica
 // stuck with an invalid key re-coordinates the pending write itself with
-// the SAME timestamp after `replay_interval` (idempotent: applies are
+// the SAME timestamp after a replay interval (idempotent: applies are
 // max-clock, VAL only validates an already-applied timestamp).  Recovery
 // bumps the replica's membership epoch, replays the WAL into the store, and
 // re-coordinates every recovered key, so a restarted node rejoins without
@@ -38,7 +38,7 @@
 #include <utility>
 #include <vector>
 
-#include "protocols/service_client.h"
+#include "protocols/quorum_client.h"
 #include "quorum/quorum.h"
 #include "rpc/qrpc.h"
 #include "store/object_store.h"
@@ -48,9 +48,6 @@ namespace dq::protocols {
 
 struct HermesConfig {
   std::vector<NodeId> replicas;
-  // How long a key may stay invalid at a replica before the replica replays
-  // the pending write itself (lost VAL or crashed coordinator).
-  sim::Duration replay_interval = sim::seconds(3);
   rpc::QrpcOptions rpc;
   std::optional<store::WalParams> wal;
 };
@@ -112,26 +109,21 @@ class HermesServer {
   obs::Counter* m_recoveries_ = nullptr;
 };
 
+struct HermesMessages {
+  static msg::Payload read(ObjectId o) { return msg::HermesRead{o}; }
+  static const msg::HermesReadReply* read_reply(const msg::Payload& p) {
+    return std::get_if<msg::HermesReadReply>(&p);
+  }
+  static msg::Payload write(ObjectId o, const Value& v) {
+    return msg::HermesWrite{o, v};
+  }
+  static const msg::HermesWriteAck* write_ack(const msg::Payload& p) {
+    return std::get_if<msg::HermesWriteAck>(&p);
+  }
+};
+
 // Thin service client: single-RPC read/write against the colocated replica,
 // which does all coordination.
-class HermesClient final : public ServiceClient {
- public:
-  HermesClient(sim::World& world, NodeId self, NodeId target,
-               rpc::QrpcOptions opts = {});
-
-  void read(ObjectId o, ReadCallback done) override;
-  void write(ObjectId o, Value value, WriteCallback done) override;
-  bool on_message(const sim::Envelope& env) override {
-    return engine_.on_reply(env);
-  }
-  void cancel_all() override { engine_.cancel_all(); }
-
- private:
-  sim::World& world_;
-  NodeId self_;
-  rpc::QrpcEngine engine_;
-  rpc::QrpcOptions opts_;
-  std::shared_ptr<const quorum::QuorumSystem> target_only_;
-};
+using HermesClient = ServerStampedClient<HermesMessages>;
 
 }  // namespace dq::protocols

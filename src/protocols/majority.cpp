@@ -1,9 +1,5 @@
 #include "protocols/majority.h"
 
-#include <algorithm>
-#include <memory>
-#include <utility>
-
 #include "sim/processing.h"
 
 namespace dq::protocols {
@@ -59,52 +55,6 @@ void MajorityServer::on_recover() {
     }
   });
   m_recoveries_->inc();
-}
-
-void MajorityClient::read(ObjectId o, ReadCallback done) {
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *system_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::MajRead{o}; },
-      [best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::MajReadReply>(&p)) {
-          if (r->clock >= best->clock) *best = {r->value, r->clock};
-        }
-      },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); }, opts_);
-}
-
-void MajorityClient::write(ObjectId o, Value value, WriteCallback done) {
-  auto max_lc = std::make_shared<LogicalClock>();
-  engine_.call(
-      *system_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::MajLcRead{o}; },
-      [max_lc](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::MajLcReadReply>(&p)) {
-          *max_lc = std::max(*max_lc, r->clock);
-        }
-      },
-      [this, o, value = std::move(value), max_lc,
-       done = std::move(done)](bool ok) mutable {
-        if (!ok) {
-          done(false, LogicalClock{});
-          return;
-        }
-        // Advance past our own previously issued clock as well as the
-        // quorum maximum: pipelined writes from one writer would otherwise
-        // observe the same quorum max and mint identical clocks.
-        const LogicalClock lc =
-            std::max(*max_lc, issued_).advanced_by(writer_id_);
-        issued_ = lc;
-        engine_.call(
-            *system_, quorum::Kind::kWrite,
-            [o, lc, value](NodeId) -> std::optional<msg::Payload> {
-              return msg::MajWrite{o, value, lc};
-            },
-            [](NodeId, const msg::Payload&) {},
-            [lc, done = std::move(done)](bool ok2) { done(ok2, lc); }, opts_);
-      },
-      opts_);
 }
 
 }  // namespace dq::protocols

@@ -10,9 +10,7 @@
 #include <memory>
 #include <optional>
 
-#include "protocols/service_client.h"
-#include "quorum/quorum.h"
-#include "rpc/qrpc.h"
+#include "protocols/quorum_client.h"
 #include "store/object_store.h"
 #include "store/wal.h"
 
@@ -55,32 +53,21 @@ class MajorityServer {
   obs::Counter* m_recoveries_ = nullptr;
 };
 
-class MajorityClient final : public ServiceClient {
- public:
-  MajorityClient(sim::World& world, NodeId self,
-                 std::shared_ptr<const quorum::QuorumSystem> system,
-                 rpc::QrpcOptions opts = {})
-      : world_(world), self_(self), system_(std::move(system)),
-        engine_(world_, self_), opts_(opts), writer_id_(self_.value()) {}
-
-  void read(ObjectId o, ReadCallback done) override;
-  void write(ObjectId o, Value value, WriteCallback done) override;
-  bool on_message(const sim::Envelope& env) override {
-    return engine_.on_reply(env);
+struct MajorityMessages {
+  static msg::Payload read(ObjectId o) { return msg::MajRead{o}; }
+  static const msg::MajReadReply* read_reply(const msg::Payload& p) {
+    return std::get_if<msg::MajReadReply>(&p);
   }
-  void cancel_all() override { engine_.cancel_all(); }
-
- private:
-  sim::World& world_;
-  NodeId self_;
-  std::shared_ptr<const quorum::QuorumSystem> system_;
-  rpc::QrpcEngine engine_;
-  rpc::QrpcOptions opts_;
-  ClientId writer_id_;
-  // Highest clock this writer has issued; keeps pipelined same-writer
-  // writes strictly ordered (writer-id tie-breaking only disambiguates
-  // different writers).
-  LogicalClock issued_;
+  static msg::Payload lc_read(ObjectId o) { return msg::MajLcRead{o}; }
+  static const msg::MajLcReadReply* lc_read_reply(const msg::Payload& p) {
+    return std::get_if<msg::MajLcReadReply>(&p);
+  }
+  static msg::Payload write(ObjectId o, const Value& v, LogicalClock lc) {
+    return msg::MajWrite{o, v, lc};
+  }
 };
+
+// Reads and writes both use the majority system.
+using MajorityClient = ClientStampedClient<MajorityMessages>;
 
 }  // namespace dq::protocols

@@ -164,31 +164,4 @@ void PbServer::propagate(ObjectId o, const Value& v, LogicalClock lc,
       cfg_->rpc);
 }
 
-void PbClient::read(ObjectId o, ReadCallback done) {
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *primary_only_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::PbRead{o}; },
-      [best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::PbReadReply>(&p)) {
-          *best = {r->value, r->clock};
-        }
-      },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); },
-      cfg_->rpc);
-}
-
-void PbClient::write(ObjectId o, Value value, WriteCallback done) {
-  auto got = std::make_shared<LogicalClock>();
-  engine_.call(
-      *primary_only_, quorum::Kind::kWrite,
-      [o, value](NodeId) -> std::optional<msg::Payload> {
-        return msg::PbWrite{o, value};
-      },
-      [got](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::PbWriteAck>(&p)) *got = r->clock;
-      },
-      [got, done = std::move(done)](bool ok) { done(ok, *got); }, cfg_->rpc);
-}
-
 }  // namespace dq::protocols

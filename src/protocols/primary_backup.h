@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "protocols/service_client.h"
+#include "protocols/quorum_client.h"
 #include "quorum/quorum.h"
 #include "rpc/qrpc.h"
 #include "store/object_store.h"
@@ -67,26 +67,20 @@ class PbServer {
   obs::Counter* m_recoveries_ = nullptr;
 };
 
-class PbClient final : public ServiceClient {
- public:
-  PbClient(sim::World& world, NodeId self, std::shared_ptr<const PbConfig> cfg)
-      : world_(world), self_(self), cfg_(std::move(cfg)),
-        engine_(world_, self_),
-        primary_only_(quorum::ThresholdQuorum::majority({cfg_->primary})) {}
-
-  void read(ObjectId o, ReadCallback done) override;
-  void write(ObjectId o, Value value, WriteCallback done) override;
-  bool on_message(const sim::Envelope& env) override {
-    return engine_.on_reply(env);
+struct PbMessages {
+  static msg::Payload read(ObjectId o) { return msg::PbRead{o}; }
+  static const msg::PbReadReply* read_reply(const msg::Payload& p) {
+    return std::get_if<msg::PbReadReply>(&p);
   }
-  void cancel_all() override { engine_.cancel_all(); }
-
- private:
-  sim::World& world_;
-  NodeId self_;
-  std::shared_ptr<const PbConfig> cfg_;
-  rpc::QrpcEngine engine_;
-  std::shared_ptr<const quorum::QuorumSystem> primary_only_;
+  static msg::Payload write(ObjectId o, const Value& v) {
+    return msg::PbWrite{o, v};
+  }
+  static const msg::PbWriteAck* write_ack(const msg::Payload& p) {
+    return std::get_if<msg::PbWriteAck>(&p);
+  }
 };
+
+// Clients send both reads and writes to the primary alone.
+using PbClient = ServerStampedClient<PbMessages>;
 
 }  // namespace dq::protocols

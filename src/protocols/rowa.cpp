@@ -1,7 +1,6 @@
 #include "protocols/rowa.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "sim/processing.h"
@@ -32,17 +31,13 @@ void RowaServer::handle(const sim::Envelope& env) {
 }
 
 void RowaClient::read(ObjectId o, ReadCallback done) {
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *system_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::RowaRead{o}; },
-      [this, best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::RowaReadReply>(&p)) {
-          if (r->clock >= best->clock) *best = {r->value, r->clock};
-          seen_ = std::max(seen_, r->clock);
-        }
-      },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); }, opts_);
+  // The read-one system completes on its single reply, so that reply's
+  // clock is the one observed.
+  QuorumClient::read(o, [this, done = std::move(done)](bool ok,
+                                                       VersionedValue vv) {
+    seen_ = std::max(seen_, vv.clock);
+    done(ok, std::move(vv));
+  });
 }
 
 void RowaClient::write(ObjectId o, Value value, WriteCallback done) {
@@ -52,7 +47,7 @@ void RowaClient::write(ObjectId o, Value value, WriteCallback done) {
   const LogicalClock lc = base.advanced_by(writer_id_);
   seen_ = std::max(seen_, lc);
   engine_.call(
-      *system_, quorum::Kind::kWrite,
+      *writes_, quorum::Kind::kWrite,
       [o, lc, value = std::move(value)](NodeId) -> std::optional<msg::Payload> {
         return msg::RowaWrite{o, value, lc};
       },

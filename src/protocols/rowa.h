@@ -14,9 +14,7 @@
 
 #include <memory>
 
-#include "protocols/service_client.h"
-#include "quorum/quorum.h"
-#include "rpc/qrpc.h"
+#include "protocols/quorum_client.h"
 #include "store/object_store.h"
 
 namespace dq::protocols {
@@ -41,7 +39,16 @@ class RowaServer {
   obs::Counter* m_writes_;
 };
 
-class RowaClient final : public ServiceClient {
+struct RowaMessages {
+  static msg::Payload read(ObjectId o) { return msg::RowaRead{o}; }
+  static const msg::RowaReadReply* read_reply(const msg::Payload& p) {
+    return std::get_if<msg::RowaReadReply>(&p);
+  }
+};
+
+// Reads are the quorum-register read over the read-one system; writes are
+// stamped locally (see above) and sent to every replica.
+class RowaClient final : public QuorumClient<RowaMessages> {
  public:
   // `local_replica` is the replica colocated with this client's node (null
   // when the client runs off-replica; it then orders writes with a private
@@ -49,24 +56,14 @@ class RowaClient final : public ServiceClient {
   RowaClient(sim::World& world, NodeId self,
              std::shared_ptr<const quorum::QuorumSystem> system,
              const RowaServer* local_replica, rpc::QrpcOptions opts = {})
-      : world_(world), self_(self), system_(std::move(system)),
-        local_(local_replica), engine_(world_, self_), opts_(opts),
-        writer_id_(self_.value()) {}
+      : QuorumClient(world, self, system, system, opts),
+        local_(local_replica), writer_id_(self.value()) {}
 
   void read(ObjectId o, ReadCallback done) override;
   void write(ObjectId o, Value value, WriteCallback done) override;
-  bool on_message(const sim::Envelope& env) override {
-    return engine_.on_reply(env);
-  }
-  void cancel_all() override { engine_.cancel_all(); }
 
  private:
-  sim::World& world_;
-  NodeId self_;
-  std::shared_ptr<const quorum::QuorumSystem> system_;
   const RowaServer* local_;
-  rpc::QrpcEngine engine_;
-  rpc::QrpcOptions opts_;
   ClientId writer_id_;
   LogicalClock seen_;  // highest clock observed in replies
 };

@@ -8,6 +8,12 @@
 #include "sim/processing.h"
 
 namespace dq::protocols {
+namespace {
+
+// Period of the anti-entropy digest exchange.
+constexpr sim::Duration kAntiEntropyInterval = sim::seconds(1);
+
+}  // namespace
 
 RowaAsyncServer::RowaAsyncServer(sim::World& world, NodeId self,
                                  std::shared_ptr<const RowaAsyncConfig> cfg)
@@ -18,7 +24,7 @@ RowaAsyncServer::RowaAsyncServer(sim::World& world, NodeId self,
       m_ae_rounds_(&world_.metrics().counter("proto.rowa_async.ae_rounds")) {}
 
 void RowaAsyncServer::start_anti_entropy() {
-  world_.set_timer(self_, cfg_->anti_entropy_interval, [this] {
+  world_.set_timer(self_, kAntiEntropyInterval, [this] {
     anti_entropy_round();
     start_anti_entropy();
   });
@@ -93,39 +99,6 @@ void RowaAsyncServer::handle(const sim::Envelope& env) {
   } else if (const auto* m = std::get_if<msg::AeUpdates>(&env.body)) {
     for (const auto& u : m->updates) store_.apply(u.object, u.value, u.clock);
   }
-}
-
-RowaAsyncClient::RowaAsyncClient(sim::World& world, NodeId self, NodeId target,
-                                 rpc::QrpcOptions opts)
-    : world_(world), self_(self), engine_(world_, self_), opts_(opts),
-      target_only_(quorum::ThresholdQuorum::majority({target})) {}
-
-void RowaAsyncClient::read(ObjectId o, ReadCallback done) {
-  auto best = std::make_shared<VersionedValue>();
-  engine_.call(
-      *target_only_, quorum::Kind::kRead,
-      [o](NodeId) -> std::optional<msg::Payload> { return msg::AsyncRead{o}; },
-      [best](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::AsyncReadReply>(&p)) {
-          *best = {r->value, r->clock};
-        }
-      },
-      [best, done = std::move(done)](bool ok) { done(ok, *best); }, opts_);
-}
-
-void RowaAsyncClient::write(ObjectId o, Value value, WriteCallback done) {
-  auto got = std::make_shared<LogicalClock>();
-  engine_.call(
-      *target_only_, quorum::Kind::kWrite,
-      [o, value = std::move(value)](NodeId) -> std::optional<msg::Payload> {
-        return msg::AsyncWrite{o, value};
-      },
-      [got](NodeId, const msg::Payload& p) {
-        if (const auto* r = std::get_if<msg::AsyncWriteAck>(&p)) {
-          *got = r->clock;
-        }
-      },
-      [got, done = std::move(done)](bool ok) { done(ok, *got); }, opts_);
 }
 
 }  // namespace dq::protocols

@@ -13,16 +13,13 @@
 #include <memory>
 #include <vector>
 
-#include "protocols/service_client.h"
-#include "quorum/quorum.h"
-#include "rpc/qrpc.h"
+#include "protocols/quorum_client.h"
 #include "store/object_store.h"
 
 namespace dq::protocols {
 
 struct RowaAsyncConfig {
   std::vector<NodeId> replicas;
-  sim::Duration anti_entropy_interval = sim::seconds(1);
   rpc::QrpcOptions rpc;
 };
 
@@ -53,26 +50,21 @@ class RowaAsyncServer {
   obs::Counter* m_ae_rounds_;
 };
 
+struct RowaAsyncMessages {
+  static msg::Payload read(ObjectId o) { return msg::AsyncRead{o}; }
+  static const msg::AsyncReadReply* read_reply(const msg::Payload& p) {
+    return std::get_if<msg::AsyncReadReply>(&p);
+  }
+  static msg::Payload write(ObjectId o, const Value& v) {
+    return msg::AsyncWrite{o, v};
+  }
+  static const msg::AsyncWriteAck* write_ack(const msg::Payload& p) {
+    return std::get_if<msg::AsyncWriteAck>(&p);
+  }
+};
+
 // Client: single-RPC read/write against one replica (the colocated one when
 // the front end runs on a replica node).
-class RowaAsyncClient final : public ServiceClient {
- public:
-  RowaAsyncClient(sim::World& world, NodeId self, NodeId target,
-                  rpc::QrpcOptions opts = {});
-
-  void read(ObjectId o, ReadCallback done) override;
-  void write(ObjectId o, Value value, WriteCallback done) override;
-  bool on_message(const sim::Envelope& env) override {
-    return engine_.on_reply(env);
-  }
-  void cancel_all() override { engine_.cancel_all(); }
-
- private:
-  sim::World& world_;
-  NodeId self_;
-  rpc::QrpcEngine engine_;
-  rpc::QrpcOptions opts_;
-  std::shared_ptr<const quorum::QuorumSystem> target_only_;
-};
+using RowaAsyncClient = ServerStampedClient<RowaAsyncMessages>;
 
 }  // namespace dq::protocols

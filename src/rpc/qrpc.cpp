@@ -39,8 +39,7 @@ CallId QrpcEngine::call_until(const quorum::QuorumSystem& system,
   c.reply_cb = std::move(on_reply);
   c.done = std::move(done);
   c.complete_cb = std::move(on_complete);
-  c.opts = opts;
-  c.cur_timeout = opts.initial_timeout;
+  c.cur_timeout = kInitialTimeout;
   if (opts.deadline != sim::kTimeInfinity) {
     c.deadline_at = world_.now() + opts.deadline;
   }
@@ -108,8 +107,8 @@ void QrpcEngine::on_retry_timer(CallId id) {
   }
   c->cur_timeout = std::min(
       static_cast<sim::Duration>(static_cast<double>(c->cur_timeout) *
-                                 c->opts.backoff),
-      c->opts.max_timeout);
+                                 kBackoff),
+      kMaxTimeout);
   m_retries_->inc();
   transmit_round(id);
   arm_retry(id);

@@ -35,10 +35,13 @@
 
 namespace dq::rpc {
 
+// Retransmission schedule: the first retransmission after kInitialTimeout,
+// each later wait kBackoff times the one before, capped at kMaxTimeout.
+inline constexpr sim::Duration kInitialTimeout = sim::milliseconds(400);
+inline constexpr double kBackoff = 2.0;
+inline constexpr sim::Duration kMaxTimeout = sim::seconds(8);
+
 struct QrpcOptions {
-  sim::Duration initial_timeout = sim::milliseconds(400);
-  double backoff = 2.0;
-  sim::Duration max_timeout = sim::seconds(8);
   // Give up after this long; on_complete(false) fires.  The availability
   // experiments use finite deadlines to turn partitions into rejections.
   sim::Duration deadline = sim::kTimeInfinity;
@@ -108,7 +111,6 @@ class QrpcEngine {
     OnReply reply_cb;
     Done done;  // empty for call(): complete once a `kind` quorum replied
     OnComplete complete_cb;
-    QrpcOptions opts;
     sim::Duration cur_timeout = 0;
     sim::Time deadline_at = sim::kTimeInfinity;
     quorum::Positions responded;  // members that have replied

@@ -248,6 +248,14 @@ std::optional<ExperimentParams> params_from_flags(
                 std::to_string(p.iqs.size()) + " nodes but --servers=" +
                 std::to_string(p.topo.num_servers));
   }
+  // An OQS read quorum r pairs with write quorums of n - r + 1, and two
+  // write quorums intersect only while r <= (n + 1) / 2.
+  const std::size_t max_orq = (p.topo.num_servers + 1) / 2;
+  if (p.oqs_read_quorum < 1 || p.oqs_read_quorum > max_orq) {
+    return fail("--orq must be in [1, " + std::to_string(max_orq) +
+                "] with --servers=" + std::to_string(p.topo.num_servers) +
+                ", got " + std::to_string(p.oqs_read_quorum));
+  }
   return p;
 }
 

@@ -70,7 +70,8 @@ class History {
   //   (3) reads vs writes: W completed before R began => lc(R) >= lc(W)
   //       (subsumed by check_regular's rule (a) but re-verified here).
   // DQVL guarantees only regular semantics; the atomic client variant
-  // (core/dq_atomic_client.h) must pass this stronger check.
+  // (DqAtomicServiceClient, protocols/dq_client.h) must pass this stronger
+  // check.
   [[nodiscard]] std::vector<Violation> check_atomic() const;
 
  private:

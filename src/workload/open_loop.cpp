@@ -170,6 +170,25 @@ void RateModel::draw_arrivals(Rng& rng, sim::Time t0, sim::Time t1,
 // SiteGenerator
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// During a flash crowd, a draw lands in the hot set with this probability;
+// the hot set tracks the kHotSetSize most recently touched objects.
+constexpr double kHotFraction = 0.8;
+constexpr std::size_t kHotSetSize = 16;
+
+// Arrivals are drawn per batch window.
+constexpr sim::Duration kBatchWindow = sim::milliseconds(100);
+// Upper bound on expected arrivals per batch.  Every arrival in a batch
+// becomes a pending delivery the moment the batch runs, so at high rates an
+// uncapped window floods the partition's event heap until it falls out of
+// cache and inflates the per-event cost.  When a window would exceed this,
+// the generator shrinks the window (deterministically, from the rate
+// envelope alone) instead.
+constexpr std::size_t kMaxBatchArrivals = 4096;
+
+}  // namespace
+
 SiteGenerator::SiteGenerator(Params p) : SiteGenerator(std::move(p), nullptr) {}
 
 SiteGenerator::SiteGenerator(Params p,
@@ -182,7 +201,7 @@ SiteGenerator::SiteGenerator(Params p,
                                                          params_.ol.objects)),
       rate_(params_.ol.site_rate_hz(), params_.ol.diurnal_amplitude,
             params_.ol.diurnal_period, params_.ol.flash),
-      hot_(params_.ol.hot_set_size > 0 ? params_.ol.hot_set_size : 1),
+      hot_(kHotSetSize),
       // Sampling stream derived from (seed, site) only: the same arrivals
       // and objects come out on every engine, partition plan, and thread
       // count.  The golden-ratio multiplier decorrelates adjacent sites.
@@ -190,7 +209,6 @@ SiteGenerator::SiteGenerator(Params p,
                            static_cast<std::uint64_t>(params_.site + 1))) {}
 
 void SiteGenerator::start() {
-  DQ_INVARIANT(params_.ol.batch_window > 0, "batch window must be positive");
   obs::MetricsRegistry& m = world().metrics();
   offered_c_ = &m.counter("open_loop.offered");
   completed_c_ = &m.counter("open_loop.completed");
@@ -218,20 +236,17 @@ void SiteGenerator::start() {
 
 void SiteGenerator::run_batch() {
   const sim::Time t0 = next_window_;
-  // Shrink the window when the rate envelope says a full batch_window would
-  // exceed max_batch_arrivals expected arrivals: bounded batch occupancy
+  // Shrink the window when the rate envelope says a full kBatchWindow would
+  // exceed kMaxBatchArrivals expected arrivals: bounded batch occupancy
   // keeps the partition's event heap cache-resident at any site rate.  The
   // cap is computed from the params alone, so the arrival schedule is the
   // same on every engine and at every thread count.
-  sim::Duration window = params_.ol.batch_window;
-  if (params_.ol.max_batch_arrivals > 0) {
-    const double lam = rate_.max_rate(t0, t0 + window);  // Hz
-    if (lam > 0.0) {
-      const double cap_ns =
-          static_cast<double>(params_.ol.max_batch_arrivals) * 1e9 / lam;
-      if (cap_ns < static_cast<double>(window)) {
-        window = std::max<sim::Duration>(1, static_cast<sim::Duration>(cap_ns));
-      }
+  sim::Duration window = kBatchWindow;
+  const double lam = rate_.max_rate(t0, t0 + window);  // Hz
+  if (lam > 0.0) {
+    const double cap_ns = static_cast<double>(kMaxBatchArrivals) * 1e9 / lam;
+    if (cap_ns < static_cast<double>(window)) {
+      window = std::max<sim::Duration>(1, static_cast<sim::Duration>(cap_ns));
     }
   }
   const sim::Time t1 = std::min<sim::Time>(t0 + window, params_.ol.horizon);
@@ -285,7 +300,7 @@ ObjectId SiteGenerator::sample_object(sim::Time at) {
   if (rate_.flash_active(at)) {
     // Flash crowd: popularity collapses onto the recently touched set; the
     // alias table itself is never rebuilt.
-    if (!hot_.empty() && rng_.chance(params_.ol.hot_fraction)) {
+    if (!hot_.empty() && rng_.chance(kHotFraction)) {
       obj = hot_.pick(rng_);
     }
     hot_.touch(obj);

@@ -71,25 +71,12 @@ struct OpenLoopParams {
 
   // Optional flash crowd (rate spike + popularity concentration).
   std::optional<FlashCrowd> flash;
-  // During a flash, a draw lands in the hot set with this probability; the
-  // hot set tracks the `hot_set_size` most recently touched objects.
-  double hot_fraction = 0.8;
-  std::size_t hot_set_size = 16;
 
-  // Emission horizon and batching.  Arrivals are drawn per batch_window;
-  // after `horizon` the generator stops emitting and waits up to `drain`
-  // for outstanding replies before recording them as failed.
+  // Emission horizon.  After `horizon` the generator stops emitting and
+  // waits up to `drain` for outstanding replies before recording them as
+  // failed.
   sim::Duration horizon = sim::seconds(10);
-  sim::Duration batch_window = sim::milliseconds(100);
   sim::Duration drain = sim::seconds(30);
-
-  // Upper bound on expected arrivals per batch.  Every arrival in a batch
-  // becomes a pending delivery the moment the batch runs, so at high rates
-  // an uncapped window floods the partition's event heap until it falls out
-  // of cache and inflates the per-event cost.  When a window would exceed
-  // this, the generator shrinks the window (deterministically, from the
-  // rate envelope alone) instead.  0 disables the cap.
-  std::size_t max_batch_arrivals = 4096;
 
   // When false the generator fires requests and forgets them: no pending
   // map, no history, no reply matching.  Benches drive sink servers this
@@ -152,7 +139,7 @@ class ZipfAliasTable {
 };
 
 // The K most recently touched objects, most recent first.  K is small
-// (default 16), so linear scans beat any fancier structure -- and a plain
+// (16 in SiteGenerator), so linear scans beat any fancier structure -- and a plain
 // vector keeps the state partition-owned and allocation-free after warmup.
 class HotSet {
  public:

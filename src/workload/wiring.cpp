@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/assert.h"
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 #include "protocols/dynamo.h"
 #include "protocols/hermes.h"
 #include "protocols/majority.h"
@@ -132,7 +132,7 @@ void build_majority(Deployment& dep) {
   // edge locality).
   dep.install_direct_clients([&dep, &world, system](NodeId cn) {
     return std::static_pointer_cast<protocols::ServiceClient>(
-        std::make_shared<protocols::MajorityClient>(world, cn, system,
+        std::make_shared<protocols::MajorityClient>(world, cn, system, system,
                                                     dep.rpc_options()));
   });
 }
@@ -164,9 +164,11 @@ void build_primary_backup(Deployment& dep, protocols::PbMode mode) {
                                       [raw] { raw->on_recover(); });
     dep.retain(std::move(srv));
   }
-  dep.install_direct_clients([&world, ccfg](NodeId cn) {
+  std::shared_ptr<const quorum::QuorumSystem> primary =
+      quorum::ThresholdQuorum::majority({cfg->primary});
+  dep.install_direct_clients([&world, primary, ccfg](NodeId cn) {
     return std::static_pointer_cast<protocols::ServiceClient>(
-        std::make_shared<protocols::PbClient>(world, cn, ccfg));
+        std::make_shared<protocols::PbClient>(world, cn, primary, ccfg->rpc));
   });
 }
 
@@ -208,8 +210,8 @@ void build_rowa_async(Deployment& dep) {
   for (std::size_t i = 0; i < topo.num_servers(); ++i) {
     const NodeId n = topo.server(i);
     auto srv = std::make_shared<protocols::RowaAsyncServer>(world, n, ccfg);
-    auto sc = std::make_shared<protocols::RowaAsyncClient>(world, n, n,
-                                                           dep.rpc_options());
+    auto sc = std::make_shared<protocols::RowaAsyncClient>(
+        world, n, quorum::ThresholdQuorum::majority({n}), dep.rpc_options());
     dep.install_front_end(i, std::move(sc));
     protocols::RowaAsyncServer* srv_raw = srv.get();
     dep.server_node(i).add_handler([srv_raw](const sim::Envelope& e) {
@@ -234,8 +236,8 @@ void build_hermes(Deployment& dep) {
   for (std::size_t i = 0; i < topo.num_servers(); ++i) {
     const NodeId n = topo.server(i);
     auto srv = std::make_shared<protocols::HermesServer>(world, n, ccfg);
-    auto sc = std::make_shared<protocols::HermesClient>(world, n, n,
-                                                        dep.rpc_options());
+    auto sc = std::make_shared<protocols::HermesClient>(
+        world, n, quorum::ThresholdQuorum::majority({n}), dep.rpc_options());
     dep.install_front_end(i, std::move(sc));
     protocols::HermesServer* srv_raw = srv.get();
     dep.server_node(i).add_handler([srv_raw](const sim::Envelope& e) {

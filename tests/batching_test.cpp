@@ -3,7 +3,7 @@
 // semantics with batching enabled.
 #include <gtest/gtest.h>
 
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 #include "workload/experiment.h"
 
 namespace dq::workload {

@@ -5,8 +5,11 @@
 // read is regular.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "protocols/registry.h"
 #include "workload/experiment.h"
 #include "workload/report.h"
 
@@ -122,22 +125,35 @@ TEST_P(CrashChaos, AllReadsRegularAcrossCrashRestarts) {
   EXPECT_TRUE(r.violations.empty())
       << r.violations.size()
       << " violations, first: " << r.violations.front().reason;
+  if (find_protocol(proto)->caps.consistency_class ==
+      protocols::ConsistencyClass::kAtomic) {
+    const auto atomic = r.history.check_atomic();
+    EXPECT_TRUE(atomic.empty())
+        << atomic.size()
+        << " atomic violations, first: " << atomic.front().reason;
+  }
   EXPECT_GT(r.availability(), 0.5);
-  // Crashes actually happened and were recovered from.
-  const std::uint64_t recoveries =
-      r.metrics.counter("iqs.recoveries") +
-      r.metrics.counter("oqs.recoveries") +
-      r.metrics.counter("proto.majority.recoveries") +
-      r.metrics.counter("proto.pb.recoveries");
+  // Crashes actually happened and were recovered from: every protocol
+  // counts its restarts in a `*.recoveries` counter.
+  std::uint64_t recoveries = 0;
+  for (const auto& [name, value] : r.metrics.counters) {
+    if (name.ends_with(".recoveries")) recoveries += value;
+  }
   EXPECT_GT(recoveries, 0u) << "no server ever crash-restarted";
 }
 
+// Every registered protocol that claims crash recovery and a consistency
+// guarantee stronger than eventual.
 std::vector<CrashChaosCase> crash_chaos_cases() {
   std::vector<CrashChaosCase> out;
-  for (std::string proto : {"dqvl", "majority",
-                         "pb-sync"}) {
+  for (const protocols::ProtocolInfo* info : all_protocols()) {
+    if (!info->caps.supports_crash_recovery ||
+        info->caps.consistency_class ==
+            protocols::ConsistencyClass::kEventual) {
+      continue;
+    }
     for (std::uint64_t seed : {11ull, 22ull, 33ull}) {
-      out.emplace_back(proto, seed);
+      out.emplace_back(info->name, seed);
     }
   }
   return out;
@@ -153,19 +169,19 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_s" + std::to_string(std::get<1>(info.param));
     });
 
-// At least one chaos seed must actually exercise the torn-tail path (a
-// partially-written record dropped at replay) -- otherwise the matrix
-// could silently stop covering it.
+// The torn-tail path (a partially-written record dropped at replay) must
+// actually be exercised, and stay regular, or the matrix could silently
+// stop covering it.  Scanning a seed range rather than a picked seed keeps
+// the check from depending on one run's schedule.
 TEST(CrashChaosTorn, TornTailPathIsExercised) {
   std::uint64_t torn = 0;
-  for (std::uint64_t seed : {11ull, 22ull, 33ull}) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     const ExperimentResult r =
         run_experiment(crash_chaos_params("dqvl", seed));
     EXPECT_TRUE(r.violations.empty()) << "seed " << seed;
     torn += r.metrics.counter("wal.replay.torn_dropped");
   }
-  EXPECT_GT(torn, 0u)
-      << "no DQVL chaos seed dropped a torn record; re-pick seeds";
+  EXPECT_GT(torn, 0u) << "no DQVL chaos seed in 1..40 dropped a torn record";
 }
 
 // Open-loop chaos: one generator per site, each aggregating a thousand

@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "core/iqs_server.h"
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 #include "workload/experiment.h"
 #include "workload/node.h"
 

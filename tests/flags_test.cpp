@@ -131,6 +131,30 @@ TEST(Flags, ServersWiderThanAQuorumSystemFail) {
   EXPECT_TRUE(params_from_flags(flags, &error).has_value()) << error;
 }
 
+TEST(Flags, OqsReadQuorumOutsideItsRangeFails) {
+  // With n servers, OQS write quorums (n - r + 1) pairwise intersect only
+  // while r <= (n + 1) / 2.
+  for (const std::size_t n : {9u, 16u}) {
+    const std::size_t max_orq = (n + 1) / 2;
+    const std::string servers = "--servers=" + std::to_string(n);
+    for (const std::size_t r : {std::size_t{0}, max_orq + 1, n + 1}) {
+      auto flags = parse({servers, "--orq=" + std::to_string(r)});
+      std::string error;
+      EXPECT_FALSE(params_from_flags(flags, &error).has_value())
+          << "n=" << n << " orq=" << r;
+      EXPECT_NE(error.find("--orq must be in [1, " + std::to_string(max_orq) +
+                           "]"),
+                std::string::npos)
+          << error;
+    }
+    auto flags = parse({servers, "--orq=" + std::to_string(max_orq)});
+    std::string error;
+    const auto p = params_from_flags(flags, &error);
+    ASSERT_TRUE(p.has_value()) << error;
+    EXPECT_EQ(p->oqs_read_quorum, max_orq);
+  }
+}
+
 TEST(Flags, OpenLoopAcceptsInjection) {
   // Fault injection runs on every partition plan, open loop included.
   auto flags = parse({"--open-loop", "--node-unavail=0.01"});

@@ -99,6 +99,13 @@ const Cell kCells[] = {
     {"dqvl", "dqvl_crash", 29, crash_golden_params},
     {"majority", "majority_crash", 13, crash_golden_params},
     {"dqvl", "dqvl_leases", 7, lease_golden_params},
+    // The protocols no other golden covers, one cell each.
+    {"dqvl-atomic", "dqvl_atomic", 7, golden_params},
+    {"dq-basic", "dq_basic", 7, golden_params},
+    {"pb", "pb", 7, golden_params},
+    {"pb-sync", "pb_sync", 7, golden_params},
+    {"rowa", "rowa", 7, golden_params},
+    {"rowa-async", "rowa_async", 7, golden_params},
 };
 
 std::vector<std::string> reports_at(std::size_t jobs) {
@@ -138,7 +145,9 @@ TEST(ParallelRunner, ReportsMatchPreRewriteGoldenFiles) {
   // The loss-only goldens pin the pre-event-core-rewrite simulator; the
   // *_crash goldens pin the durability subsystem's first release; the
   // *_leases golden pins the renewal-reply paths before the pending-read
-  // index.
+  // index; the dqvl_atomic, dq_basic, pb, pb_sync, rowa and rowa_async
+  // goldens pin each protocol's service client before the shared
+  // quorum-register client.
   const auto docs = reports_at(8);
   for (std::size_t i = 0; i < std::size(kCells); ++i) {
     // The generator wrote each document with a trailing newline.

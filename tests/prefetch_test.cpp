@@ -2,7 +2,7 @@
 // OQS node in one exchange instead of one miss per object.
 #include <gtest/gtest.h>
 
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 #include "workload/experiment.h"
 
 namespace dq::workload {

@@ -33,6 +33,18 @@ ExperimentParams dqvl_wal_params() {
   return p;
 }
 
+// The params a dqsim command line (without the program name) selects.
+ExperimentParams params_from_args(std::vector<std::string> args) {
+  std::vector<char*> argv{const_cast<char*>("dqsim")};
+  for (std::string& a : args) argv.push_back(a.data());
+  std::string error;
+  auto flags =
+      parse_flag_map(static_cast<int>(argv.size()), argv.data(), &error);
+  const auto p = params_from_flags(flags, &error);
+  EXPECT_TRUE(p.has_value()) << error;
+  return p.value_or(ExperimentParams{});
+}
+
 // Run the closed-loop workload to completion so leases exist and every
 // acked write's WAL record has long since been flushed.
 void run_to_completion(Deployment& dep) {
@@ -218,21 +230,41 @@ TEST(CrashInjection, PrimaryBackupSyncToleratesOpDeadlines) {
       {"--protocol=pb-sync", "--node-unavail=0.02", "--deadline-ms=3000",
        "--seed=11"},
   };
-  for (std::vector<std::string> args : configs) {
-    std::vector<char*> argv{const_cast<char*>("dqsim")};
-    for (std::string& a : args) argv.push_back(a.data());
-    std::string error;
-    auto flags = parse_flag_map(static_cast<int>(argv.size()), argv.data(),
-                                &error);
-    const auto p = params_from_flags(flags, &error);
-    ASSERT_TRUE(p.has_value()) << error;
-    const ExperimentResult r = run_experiment(*p);
+  for (const std::vector<std::string>& args : configs) {
+    const ExperimentParams p = params_from_args(args);
+    const ExperimentResult r = run_experiment(p);
     EXPECT_EQ(r.total_requests(),
-              p->topo.num_clients * p->requests_per_client)
+              p.topo.num_clients * p.requests_per_client)
         << args[1];
     EXPECT_TRUE(r.violations.empty())
         << args[1] << ": " << r.violations.size()
         << " violations, first: " << r.violations.front().reason;
+  }
+}
+
+// Inside its grace window a recovered IQS node must not trust case (a') of
+// node_safe -- "j acked an invalidation after the object's last renewal" --
+// for an invalidation below the clock mark it recovered.  The crash wiped
+// last_read, and an OQS node may still hold a pre-crash grant at the
+// invalidation's own clock, which such an invalidation leaves valid.  On
+// these seeds an atomic read's write-back replayed a pre-crash clock to a
+// recovered node, a later write was then suppressed on (a'), and an OQS
+// node served the older value as a hit.
+TEST(CrashInjection, RecoveredIqsNodeKeepsPreCrashGrantsInvalidated) {
+  for (const char* seed : {"--seed=2", "--seed=9"}) {
+    const ExperimentParams p =
+        params_from_args({"--protocol=dqvl-atomic", "--crash-mttc-ms=8000",
+                          "--wal=group", "--requests=100", seed});
+    const ExperimentResult r = run_experiment(p);
+    EXPECT_GT(r.metrics.counter("iqs.recoveries"), 0u) << seed;
+    const auto regular = r.history.check_regular();
+    EXPECT_TRUE(regular.empty())
+        << seed << ": " << regular.size()
+        << " regular violations, first: " << regular.front().reason;
+    const auto atomic = r.history.check_atomic();
+    EXPECT_TRUE(atomic.empty())
+        << seed << ": " << atomic.size()
+        << " atomic violations, first: " << atomic.front().reason;
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 #include "workload/experiment.h"
 
 namespace dq::workload {

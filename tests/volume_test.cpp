@@ -5,7 +5,7 @@
 
 #include <memory>
 
-#include "protocols/dq_adapter.h"
+#include "protocols/dq_client.h"
 #include "workload/experiment.h"
 
 namespace dq::workload {
