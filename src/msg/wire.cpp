@@ -8,7 +8,7 @@ namespace {
 
 // Sizing building blocks (serialized-representation estimates).
 constexpr std::size_t kHeader = 32;      // src, dst, rpc id, type tag, flags
-constexpr std::size_t kId = 8;           // object / volume id
+constexpr std::size_t kId = 8;           // object / volume / rpc id
 constexpr std::size_t kClock = 12;       // logical clock (counter + writer)
 constexpr std::size_t kTime = 8;         // timestamps, durations, epochs
 
@@ -26,7 +26,7 @@ Row row(const char* name, std::size_t body) { return {name, kHeader + body}; }
 // fails to compile.
 struct Describe {
   Row operator()(const AppRequest& m) const {
-    return row("AppRequest", 1 + kId + m.value.size());
+    return row("AppRequest", 1 + 2 * kId + m.value.size());
   }
   Row operator()(const AppReply& m) const {
     return row("AppReply", 1 + kId + kClock + m.value.size());

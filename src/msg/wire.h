@@ -36,6 +36,10 @@ struct AppRequest {
   OpKind op{};
   ObjectId object;
   Value value;  // empty for reads
+  // Ack floor: every request from this sender with a lower rpc id is
+  // settled -- the sender has its reply or has given up, and will never
+  // send that request again -- so the front end may forget its reply.
+  RequestId settled_below;
 };
 
 struct AppReply {

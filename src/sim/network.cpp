@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/assert.h"
 
@@ -51,6 +52,12 @@ LinkClass Topology::link_class(NodeId src, NodeId dst) const {
   const NodeId s = is_client(src) ? dst : src;
   DQ_INVARIANT(is_server(s), "client-to-client traffic is not modelled");
   return home_of(c) == s ? LinkClass::kClientHome : LinkClass::kClientRemote;
+}
+
+Duration Topology::max_client_delay() const {
+  const Duration base = std::max(p_.client_to_home, p_.client_to_remote);
+  return base + static_cast<Duration>(
+                    std::ceil(static_cast<double>(base) * p_.jitter));
 }
 
 Duration Topology::one_way_delay(NodeId src, NodeId dst, Rng& rng) const {

@@ -103,6 +103,9 @@ class Topology {
   // Same delay model when the caller has already classified the link (the
   // send path classifies once for the per-link metrics and reuses it here).
   [[nodiscard]] Duration one_way_delay(LinkClass link, Rng& rng) const;
+  // No copy of a message between a client and a server is delivered later
+  // than this after it departs (the longer client link at full jitter).
+  [[nodiscard]] Duration max_client_delay() const;
   [[nodiscard]] Duration processing_delay() const {
     return p_.processing_delay;
   }

@@ -81,13 +81,16 @@ void AppClient::issue_next() {
 
   // Via front end.  Retransmit under the same rpc id until the reply lands
   // (the front end executes at-most-once and re-sends cached replies), so a
-  // lost request or reply does not wedge the closed loop.
+  // lost request or reply does not wedge the closed loop.  One op is in
+  // flight at a time and the last one has completed or passed its
+  // deadline, so every earlier rpc id is settled.
   const NodeId fe = pick_front_end();
   current_rpc_ = world().fresh_rpc_id();
   msg::AppRequest req;
   req.op = current_.kind;
   req.object = current_.object;
   req.value = current_.value;
+  req.settled_below = current_rpc_;
   world().send(id(), fe, current_rpc_, req);
   arm_retransmit(fe, std::move(req), token, sim::milliseconds(500));
 }

@@ -203,11 +203,10 @@ ExperimentResult Deployment::run() {
 }
 
 ExperimentResult Deployment::collect() {
+  // The merged history shares every client's and site's records (see
+  // History::append): nothing is copied, and a later collect lists them
+  // all again, with any recorded since.
   ExperimentResult r;
-  std::size_t ops = 0;
-  for (const auto& c : clients_) ops += c->history().size();
-  for (const auto& g : generators_) ops += g->history().size();
-  r.history.reserve(ops);
   for (const auto& c : clients_) {
     r.history.append(c->history());
     r.rejected_reads += c->rejected_reads();

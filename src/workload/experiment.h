@@ -184,6 +184,15 @@ class Deployment {
   [[nodiscard]] EdgeNode& server_node(std::size_t i) {
     return *servers_.at(i);
   }
+  // The front ends, in install order (one per server under the
+  // locality-aware protocols, none under direct-access ones); for tests
+  // that inspect the at-most-once table.
+  [[nodiscard]] std::size_t num_front_ends() const {
+    return front_ends_.size();
+  }
+  [[nodiscard]] FrontEnd& front_end(std::size_t i) {
+    return *front_ends_.at(i);
+  }
 
   // -------------------------------------------------------------------------
   // Wiring helpers for protocol factories (protocols::ProtocolInfo::build).

@@ -24,7 +24,7 @@ std::vector<Violation> History::check_regular() const {
 
   // Partition by object.
   std::map<ObjectId, std::vector<const OpRecord*>> by_obj;
-  for (const OpRecord& op : ops_) by_obj[op.object].push_back(&op);
+  for (const OpRecord& op : ops()) by_obj[op.object].push_back(&op);
 
   for (const auto& [obj, ops] : by_obj) {
     std::vector<const OpRecord*> writes;
@@ -95,7 +95,7 @@ std::vector<Violation> History::check_atomic() const {
   std::vector<Violation> out = check_regular();
 
   std::map<ObjectId, std::vector<const OpRecord*>> by_obj;
-  for (const OpRecord& op : ops_) {
+  for (const OpRecord& op : ops()) {
     if (op.ok) by_obj[op.object].push_back(&op);
   }
   for (const auto& [obj, ops] : by_obj) {

@@ -16,8 +16,9 @@
 // value.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,13 +29,14 @@
 
 namespace dq::workload {
 
+// 80 bytes on LP64: `ok` shares the first word with `client` and `kind`.
 struct OpRecord {
   ClientId client;
   msg::OpKind kind{};
+  bool ok = false;          // rejected / timed-out ops have ok == false
   ObjectId object;
   sim::Time invoked = 0;
   sim::Time completed = 0;  // meaningful only when ok
-  bool ok = false;          // rejected / timed-out ops have ok == false
   Value value;              // value read or written
   LogicalClock clock;       // clock returned (reads) or assigned (writes)
 };
@@ -44,17 +46,96 @@ struct Violation {
   std::string reason;
 };
 
+// A history holds its records once, in chunks it may share with other
+// histories: append() shares the other history's chunks and copies no
+// record, so Deployment::collect() merges every site's history for free and
+// can be called again.  record() never writes into a shared chunk -- it
+// starts a new one -- so a shared record never moves or changes and an
+// earlier append's result stays as it was.  record() must not run while
+// another thread drops a share of the last chunk (use_count() is a relaxed
+// load); only a finished trial's collected result crosses threads.
 class History {
+  using Chunk = std::vector<OpRecord>;
+
  public:
-  void record(OpRecord op) { ops_.push_back(std::move(op)); }
+  // The records in order, for a range-for.
+  class Ops {
+   public:
+    class iterator {
+     public:
+      const OpRecord& operator*() const { return *op_; }
+      const OpRecord* operator->() const { return op_; }
+      iterator& operator++() {
+        if (++op_ == end_) enter(chunk_ + 1);
+        return *this;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.op_ == b.op_;
+      }
+
+     private:
+      friend class Ops;
+      iterator(const std::shared_ptr<Chunk>* chunk,
+               const std::shared_ptr<Chunk>* last)
+          : last_(last) {
+        enter(chunk);
+      }
+      // Point at the first record of the first non-empty chunk from `c`.
+      void enter(const std::shared_ptr<Chunk>* c) {
+        for (chunk_ = c; chunk_ != last_; ++chunk_) {
+          if (!(*chunk_)->empty()) {
+            op_ = (*chunk_)->data();
+            end_ = op_ + (*chunk_)->size();
+            return;
+          }
+        }
+        op_ = end_ = nullptr;
+      }
+
+      const std::shared_ptr<Chunk>* chunk_ = nullptr;
+      const std::shared_ptr<Chunk>* last_ = nullptr;
+      const OpRecord* op_ = nullptr;
+      const OpRecord* end_ = nullptr;
+    };
+
+    [[nodiscard]] iterator begin() const { return {first_, last_}; }
+    [[nodiscard]] iterator end() const { return {last_, last_}; }
+
+   private:
+    friend class History;
+    Ops(const std::shared_ptr<Chunk>* first, const std::shared_ptr<Chunk>* last)
+        : first_(first), last_(last) {}
+    const std::shared_ptr<Chunk>* first_;
+    const std::shared_ptr<Chunk>* last_;
+  };
+
+  void record(OpRecord op) {
+    writable().push_back(std::move(op));
+    ++size_;
+  }
   // Room for n records in all, so recording up to n never relocates.
-  void reserve(std::size_t n) { ops_.reserve(n); }
+  void reserve(std::size_t n) {
+    if (n <= size_) return;
+    Chunk& c = writable();
+    c.reserve(c.size() + (n - size_));
+  }
+  // Append `other`'s records by sharing its chunks.
   void append(const History& other) {
-    ops_.insert(ops_.end(), other.ops_.begin(), other.ops_.end());
+    for (const auto& c : other.chunks_) {
+      if (!c->empty()) chunks_.push_back(c);
+    }
+    size_ += other.size_;
   }
 
-  [[nodiscard]] const std::vector<OpRecord>& ops() const { return ops_; }
-  [[nodiscard]] std::size_t size() const { return ops_.size(); }
+  [[nodiscard]] Ops ops() const {
+    return {chunks_.data(), chunks_.data() + chunks_.size()};
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  // Records the history can hold before record() allocates.
+  [[nodiscard]] std::size_t capacity() const {
+    if (chunks_.empty() || chunks_.back().use_count() > 1) return size_;
+    return size_ + chunks_.back()->capacity() - chunks_.back()->size();
+  }
 
   // Check every successful read against regular semantics.  Returns the
   // violations found (empty == history is regular).
@@ -75,7 +156,16 @@ class History {
   [[nodiscard]] std::vector<Violation> check_atomic() const;
 
  private:
-  std::vector<OpRecord> ops_;
+  // The last chunk, or a new one when it is shared (or there is none).
+  Chunk& writable() {
+    if (chunks_.empty() || chunks_.back().use_count() > 1) {
+      chunks_.push_back(std::make_shared<Chunk>());
+    }
+    return *chunks_.back();
+  }
+
+  std::vector<std::shared_ptr<Chunk>> chunks_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace dq::workload

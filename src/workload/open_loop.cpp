@@ -219,6 +219,7 @@ void SiteGenerator::start() {
   site_completed_ = &m.counter("site.completed." + site);
   site_latency_ = &m.histogram("site.latency_ms." + site);
   home_ = world().topology().home_of(id());
+  on_wire_ = world().topology().max_client_delay();
   next_window_ = world().now();
   if (params_.ol.track_replies) {
     // Every arrival ends up in the history, so reserve the expected count
@@ -267,6 +268,7 @@ void SiteGenerator::run_batch() {
   // drawn values.
   const bool batched_zipf = direct_ == nullptr && params_.write_ratio <= 0.0 &&
                             params_.locality >= 1.0 && !params_.ol.flash;
+  if (direct_ == nullptr && params_.ol.track_replies) raise_floor();
   if (batched_zipf) {
     zipf_->sample_many(rng_, arrivals_.size(), objects_);
     for (std::size_t k = 0; k < arrivals_.size(); ++k) {
@@ -281,6 +283,17 @@ void SiteGenerator::run_batch() {
   } else {
     finish_emission();
   }
+}
+
+void SiteGenerator::raise_floor() {
+  // Every request still on the wire was sent at or after `cutoff`, and this
+  // batch's requests depart at or after now, so they arrive strictly after
+  // the last copy of anything older.  Requests skipped here stay pending
+  // (a reply may still come); only the floor passes them, once.
+  const sim::Time cutoff = world().now() - on_wire_;
+  auto it = pending_.lower_bound(floor_);
+  while (it != pending_.end() && it->second.invoked < cutoff) ++it;
+  floor_ = it == pending_.end() ? kNoFloor : it->first;
 }
 
 NodeId SiteGenerator::pick_front_end() {
@@ -355,11 +368,13 @@ void SiteGenerator::emit(sim::Time arrival) {
     rec.invoked = arrival;
     rec.value = value;
     pending_.emplace(rpc.value(), std::move(rec));
+    floor_ = std::min(floor_, rpc.value());
   }
   msg::AppRequest req;
   req.op = kind;
   req.object = object;
   req.value = std::move(value);
+  req.settled_below = RequestId(floor_);
   world().send_at(id(), fe, arrival, rpc, std::move(req));
 }
 
@@ -373,10 +388,12 @@ void SiteGenerator::emit_read(sim::Time arrival, ObjectId object) {
     rec.object = object;
     rec.invoked = arrival;
     pending_.emplace(rpc.value(), std::move(rec));
+    floor_ = std::min(floor_, rpc.value());
   }
   msg::AppRequest req;
   req.op = msg::OpKind::kRead;
   req.object = object;
+  req.settled_below = RequestId(floor_);
   world().send_at(id(), home_, arrival, rpc, std::move(req));
 }
 

@@ -246,6 +246,7 @@ class SiteGenerator final : public sim::Actor {
 
  private:
   void run_batch();
+  void raise_floor();
   void emit(sim::Time arrival);
   // Fast path: read request for a pre-sampled object straight to the home
   // front end.  Used when the batch qualifies for batched Zipf sampling.
@@ -281,6 +282,17 @@ class SiteGenerator final : public sim::Actor {
   // token (direct mode).  Ordered map: determinism rules ban unordered
   // containers in partition-owned state.
   std::map<std::uint64_t, OpRecord> pending_;
+  // Ack floor sent with each request (AppRequest::settled_below): the
+  // oldest pending rpc id that may still be on the wire, or kNoFloor until
+  // the batch mints one (0 when replies are not tracked).  The generator
+  // never retransmits, so a pending request sent more than `on_wire_` ago
+  // (the longest client-link delay) has reached its front end or been
+  // lost: no copy of it can arrive after a later request, and the front
+  // end may forget its reply.  Counting only requests still on the wire
+  // keeps a lost one from pinning the floor for the rest of the run.
+  static constexpr std::uint64_t kNoFloor = ~std::uint64_t{0};
+  std::uint64_t floor_ = 0;
+  sim::Duration on_wire_ = 0;
   History history_;
   std::uint64_t offered_ = 0;
   std::uint64_t completed_ = 0;

@@ -190,7 +190,7 @@ TEST(CrashChaosTorn, TornTailPathIsExercised) {
 // round-boundary events, so the report is byte-identical at any
 // --world-threads; every completed read is regular, and every offered
 // request ends up completed or failed.
-TEST(OpenLoopChaos, ByteIdenticalRegularAndFullyAccounted) {
+ExperimentParams open_loop_chaos_params() {
   ExperimentParams p;
   p.protocol = "dqvl";
   p.seed = 17;
@@ -216,7 +216,11 @@ TEST(OpenLoopChaos, ByteIdenticalRegularAndFullyAccounted) {
   ol.horizon = sim::seconds(4);
   ol.drain = sim::seconds(10);
   p.open_loop = ol;
+  return p;
+}
 
+TEST(OpenLoopChaos, ByteIdenticalRegularAndFullyAccounted) {
+  ExperimentParams p = open_loop_chaos_params();
   p.world_threads = 1;
   const ExperimentResult r = run_experiment(p);
   const std::string at1 = report::to_json(p, r);
@@ -231,6 +235,44 @@ TEST(OpenLoopChaos, ByteIdenticalRegularAndFullyAccounted) {
   EXPECT_GT(offered, 1000u);
   EXPECT_EQ(offered, r.metrics.counter("open_loop.completed") +
                          r.metrics.counter("open_loop.failed"));
+  EXPECT_GT(r.metrics.counter("iqs.recoveries") +
+                r.metrics.counter("oqs.recoveries"),
+            0u)
+      << "no server ever crash-restarted";
+}
+
+// The same cell with network duplication on top, as ChaosExtra runs closed
+// loop: a duplicated request can reach a front end while its first copy is
+// in flight (dropped) or after it completed (the cached reply is resent),
+// and a duplicated reply completes nothing twice.
+TEST(OpenLoopChaos, DuplicationStaysRegularAndFullyAccounted) {
+  ExperimentParams p = open_loop_chaos_params();
+  const auto run_at = [&p](std::size_t threads) {
+    p.world_threads = threads;
+    Deployment dep(p);
+    dep.world().faults().set_duplication_probability(0.03);
+    dep.start_clients();
+    while (!dep.clients_done() && dep.world().now() < sim::seconds(60)) {
+      dep.world().run_for(sim::seconds(1));
+    }
+    EXPECT_TRUE(dep.clients_done()) << "open loop wedged under duplication";
+    return dep.collect();
+  };
+  const ExperimentResult r = run_at(1);
+  p.world_threads = 1;
+  const std::string at1 = report::to_json(p, r);
+  const ExperimentResult r4 = run_at(4);
+  EXPECT_EQ(at1, report::to_json(p, r4))
+      << "open-loop duplication report diverges at --world-threads 4";
+
+  EXPECT_TRUE(r.violations.empty())
+      << r.violations.size()
+      << " violations, first: " << r.violations.front().reason;
+  const std::uint64_t offered = r.metrics.counter("open_loop.offered");
+  EXPECT_GT(offered, 1000u);
+  EXPECT_EQ(offered, r.metrics.counter("open_loop.completed") +
+                         r.metrics.counter("open_loop.failed"));
+  EXPECT_EQ(r.history.size(), offered);
   EXPECT_GT(r.metrics.counter("iqs.recoveries") +
                 r.metrics.counter("oqs.recoveries"),
             0u)

@@ -33,11 +33,13 @@ TEST(Determinism, SameSeedSameExecution) {
   EXPECT_EQ(a.sim_duration, b.sim_duration);
   EXPECT_DOUBLE_EQ(a.all_ms.mean(), b.all_ms.mean());
   ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history.ops()[i].invoked, b.history.ops()[i].invoked);
-    EXPECT_EQ(a.history.ops()[i].completed, b.history.ops()[i].completed);
-    EXPECT_EQ(a.history.ops()[i].value, b.history.ops()[i].value);
-    EXPECT_EQ(a.history.ops()[i].clock, b.history.ops()[i].clock);
+  auto op_b = b.history.ops().begin();
+  for (const OpRecord& op_a : a.history.ops()) {
+    EXPECT_EQ(op_a.invoked, op_b->invoked);
+    EXPECT_EQ(op_a.completed, op_b->completed);
+    EXPECT_EQ(op_a.value, op_b->value);
+    EXPECT_EQ(op_a.clock, op_b->clock);
+    ++op_b;
   }
 }
 

@@ -143,13 +143,13 @@ TEST(AtomicSemantics, PlainDqvlAllowsNewOldInversion) {
 
   // Formalize with the checkers.
   History h;
-  h.record({ClientId(6), msg::OpKind::kRead, o, ra_completed - 1,
-            ra_completed, true, seen_a.value, seen_a.clock});
-  h.record({ClientId(7), msg::OpKind::kRead, o, ra_completed + 1, w.now(),
-            true, seen_b.value, seen_b.clock});
-  h.record({ClientId(5), msg::OpKind::kWrite, o, 0, 1, true, "v1",
+  h.record({ClientId(6), msg::OpKind::kRead, true, o, ra_completed - 1,
+            ra_completed, seen_a.value, seen_a.clock});
+  h.record({ClientId(7), msg::OpKind::kRead, true, o, ra_completed + 1,
+            w.now(), seen_b.value, seen_b.clock});
+  h.record({ClientId(5), msg::OpKind::kWrite, true, o, 0, 1, "v1",
             seen_b.clock});
-  h.record({ClientId(5), msg::OpKind::kWrite, o, 2, 0, false, "v2",
+  h.record({ClientId(5), msg::OpKind::kWrite, false, o, 2, 0, "v2",
             seen_a.clock});  // never completed
   EXPECT_TRUE(h.check_regular().empty());
   EXPECT_FALSE(h.check_atomic().empty());

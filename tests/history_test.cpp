@@ -3,6 +3,9 @@
 // its own suite: legal histories must pass, illegal ones must be caught.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "workload/history.h"
 
 namespace dq::workload {
@@ -190,6 +193,41 @@ TEST(HistoryChecker, AppendMergesHistories) {
   a.append(b);
   EXPECT_EQ(a.size(), 2u);
   EXPECT_TRUE(a.check_regular().empty());
+}
+
+// append() shares the other history's records instead of copying them, and
+// a later record() on either side leaves the shared ones untouched.
+TEST(HistoryChunks, AppendSharesRecordsThatLaterRecordsNeverMove) {
+  History site;
+  site.reserve(4);
+  EXPECT_EQ(site.capacity(), 4u);
+  site.record(write(0, 10, "a", {1, 1}));
+  site.record(read(20, 30, "a", {1, 1}));
+  History merged;
+  merged.append(site);
+  const OpRecord* first = &*site.ops().begin();
+  EXPECT_EQ(&*merged.ops().begin(), first);
+  // The shared chunk is frozen: new records go to a chunk of their own.
+  EXPECT_EQ(site.capacity(), site.size());
+  site.record(write(40, 50, "b", {2, 1}));
+  merged.record(read(60, 70, "a", {1, 1}));
+  EXPECT_EQ(&*site.ops().begin(), first);
+  EXPECT_EQ(&*merged.ops().begin(), first);
+  std::vector<std::string> site_values, merged_values;
+  for (const OpRecord& op : site.ops()) site_values.push_back(op.value);
+  for (const OpRecord& op : merged.ops()) merged_values.push_back(op.value);
+  EXPECT_EQ(site_values, (std::vector<std::string>{"a", "a", "b"}));
+  EXPECT_EQ(merged_values, (std::vector<std::string>{"a", "a", "a"}));
+  EXPECT_EQ(site.size(), 3u);
+  EXPECT_EQ(merged.size(), 3u);
+  // A second merge lists the site's records in order across its chunks.
+  History again;
+  again.append(site);
+  std::vector<std::string> again_values;
+  for (const OpRecord& op : again.ops()) again_values.push_back(op.value);
+  EXPECT_EQ(again_values, site_values);
+  const History empty;
+  EXPECT_TRUE(empty.ops().begin() == empty.ops().end());
 }
 
 }  // namespace

@@ -388,9 +388,11 @@ TEST(MetricsEndToEnd, MetricsDoNotPerturbTheSimulation) {
   EXPECT_EQ(a.total_bytes, b.total_bytes);
   EXPECT_EQ(a.message_table, b.message_table);
   ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history.ops()[i].invoked, b.history.ops()[i].invoked);
-    EXPECT_EQ(a.history.ops()[i].completed, b.history.ops()[i].completed);
+  auto op_b = b.history.ops().begin();
+  for (const OpRecord& op_a : a.history.ops()) {
+    EXPECT_EQ(op_a.invoked, op_b->invoked);
+    EXPECT_EQ(op_a.completed, op_b->completed);
+    ++op_b;
   }
   // And the metric streams themselves are reproducible.
   EXPECT_EQ(a.metrics.counters, b.metrics.counters);

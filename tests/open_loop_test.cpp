@@ -218,7 +218,7 @@ TEST(SiteGenerator, ReservesItsExpectedHistoryOnlyWhenTrackingReplies) {
         track ? static_cast<std::size_t>(
                     std::ceil(2000.0 + 4.0 * std::sqrt(2000.0)))
               : 0;
-    EXPECT_EQ(g.history().ops().capacity(), want) << "track=" << track;
+    EXPECT_EQ(g.history().capacity(), want) << "track=" << track;
   }
 }
 
@@ -325,6 +325,44 @@ TEST(OpenLoop, LosslessRunCompletesEverything) {
   EXPECT_EQ(result.metrics.counter("open_loop.completed"), offered);
   EXPECT_EQ(result.metrics.counter("open_loop.failed"), 0u);
   EXPECT_TRUE(result.history.check_regular().empty());
+}
+
+// Every field of every record, in order.
+std::string dump(const History& h) {
+  std::ostringstream os;
+  for (const OpRecord& op : h.ops()) {
+    os << op.client << ' ' << static_cast<int>(op.kind) << ' ' << op.ok << ' '
+       << op.object << ' ' << op.invoked << ' ' << op.completed << ' '
+       << op.value << ' ' << op.clock << '\n';
+  }
+  return os.str();
+}
+
+TEST(Collect, SharesTheSitesRecordsAndRepeats) {
+  const ExperimentParams p = open_loop_params();
+  Deployment dep(p);
+  const ExperimentResult first = dep.run();
+  const ExperimentResult second = dep.collect();
+  EXPECT_EQ(report::to_json(p, first), report::to_json(p, second));
+  ASSERT_GT(dep.site(0).history().size(), 0u);
+  const OpRecord* own = &*dep.site(0).history().ops().begin();
+  EXPECT_EQ(&*first.history.ops().begin(), own) << "collect copied records";
+  EXPECT_EQ(&*second.history.ops().begin(), own);
+}
+
+TEST(Collect, MidRunCollectIsFrozenAndTheFinalOneMatchesAOneShotRun) {
+  const ExperimentParams p = open_loop_params();
+  Deployment dep(p);
+  dep.start_clients();
+  dep.world().run_for(sim::seconds(1));
+  const ExperimentResult mid = dep.collect();
+  const std::string mid_ops = dump(mid.history);
+  ASSERT_GT(mid.history.size(), 0u);
+  while (!dep.clients_done()) dep.world().run_for(sim::seconds(1));
+  EXPECT_EQ(dump(mid.history), mid_ops) << "the run rewrote a shared record";
+  const ExperimentResult end = dep.collect();
+  EXPECT_GT(end.history.size(), mid.history.size());
+  EXPECT_EQ(report::to_json(p, end), report_at(p, 0));
 }
 
 TEST(OpenLoop, PerSiteCountersCoverAllSites) {
