@@ -13,6 +13,13 @@
 // crowd) by snapshotting per-phase offered counts, and a tiny full-stack
 // DQVL open-loop run is recorded as the envelope's dq.report.v1 document.
 //
+// A third trial measures intra-trial parallelism: one dense open-loop DQVL
+// world (the shape of `dqsim --protocol=dqvl --open-loop --sites=8
+// --servers=16 --clients-per-site=20000 --client-rate=0.5 --objects=100000
+// --open-seconds=2`, sized by the flags below) runs at --world-threads 1, 2
+// and 4.  Its dq.report.v1 document must be byte-identical at every thread
+// count, or the bench exits 1.
+//
 // Tiny-parameter mode for CI smokes:
 //   --sites=N --clients-per-site=N --objects=N --seconds=S --json=PATH
 #include <algorithm>
@@ -162,6 +169,25 @@ ScaleRun run_scale(const ScaleConfig& cfg,
   return out;
 }
 
+// The dense DQVL trial of the world-threads table: S sites, 2S servers
+// (at least the IQS), 5/32 of the emission trial's clients per site (20480
+// at the default 131072) at 0.5 Hz each, over the same objects, for half
+// the emission horizon.
+workload::ExperimentParams dense_dqvl_trial(const ScaleConfig& cfg) {
+  workload::ExperimentParams p;
+  p.protocol = "dqvl";
+  p.topo.num_clients = cfg.sites;
+  p.topo.num_servers = std::max(2 * cfg.sites, p.iqs.size());
+  workload::OpenLoopParams ol;
+  ol.clients_per_site = cfg.clients_per_site * 5 / 32;
+  ol.client_rate_hz = 0.5;
+  ol.objects = cfg.objects;
+  ol.horizon =
+      sim::milliseconds(static_cast<std::int64_t>(cfg.seconds * 5e2));
+  p.open_loop = ol;
+  return p;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -246,6 +272,39 @@ int main(int argc, char** argv) {
   row({"", "flash req/s", fmt_sci(flash_rate)}, 18);
   row({"", "multiplier", fmt(observed_mult, 2) + "x"}, 18);
 
+  // Intra-trial parallelism: the dense DQVL world at 1, 2 and 4 world
+  // threads.  The thread count must be unobservable in the report.
+  const workload::ExperimentParams dense = dense_dqvl_trial(cfg);
+  struct WorldPoint {
+    std::size_t threads;
+    double ms;
+  };
+  std::vector<WorldPoint> world_points;
+  std::string dense_report;
+  std::uint64_t dense_requests = 0;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    workload::ExperimentParams p = dense;
+    p.world_threads = threads;
+    const double t0 = wall_ms();
+    const workload::ExperimentResult r = workload::run_experiment(p);
+    world_points.push_back({threads, wall_ms() - t0});
+    const std::string doc = workload::report::to_json(p, r);
+    if (threads == 1) {
+      dense_report = doc;
+      dense_requests = r.total_requests();
+    } else if (doc != dense_report) {
+      std::fprintf(stderr,
+                   "FAIL: dq.report.v1 differs between --world-threads 1 "
+                   "and %zu\n",
+                   threads);
+      return 1;
+    }
+    row({threads == 1 ? "world threads" : "", std::to_string(threads),
+         fmt(world_points.back().ms, 1) + " ms",
+         fmt(world_points.front().ms / world_points.back().ms, 2) + "x"},
+        18);
+  }
+
   // A tiny full-stack DQVL open-loop trial: the envelope's dq.report.v1
   // document (exercises the report's open_loop section end to end).
   workload::ExperimentParams rp;
@@ -305,7 +364,26 @@ int main(int argc, char** argv) {
                "\"observed_multiplier\":%.2f}",
                shaped.diurnal, flash.multiplier, base_rate, flash_rate,
                observed_mult);
-  std::fprintf(f, "}");
+  std::fprintf(f,
+               ",\"world_threads_trial\":{\"protocol\":\"dqvl\","
+               "\"sites\":%zu,\"servers\":%zu,\"clients_per_site\":%zu,"
+               "\"client_rate_hz\":%.1f,\"objects\":%zu,"
+               "\"sim_seconds\":%.2f,\"requests\":%llu,"
+               "\"byte_identical\":true}",
+               dense.topo.num_clients, dense.topo.num_servers,
+               dense.open_loop->clients_per_site,
+               dense.open_loop->client_rate_hz, dense.open_loop->objects,
+               sim::to_ms(dense.open_loop->horizon) / 1e3,
+               static_cast<unsigned long long>(dense_requests));
+  std::fprintf(f, ",\"world_threads_scaling\":[");
+  for (std::size_t i = 0; i < world_points.size(); ++i) {
+    std::fprintf(f,
+                 "%s{\"world_threads\":%zu,\"ms\":%.1f,\"speedup\":%.2f}",
+                 i == 0 ? "" : ",", world_points[i].threads,
+                 world_points[i].ms,
+                 world_points.front().ms / world_points[i].ms);
+  }
+  std::fprintf(f, "]}");
   std::fprintf(f, ",\"runs\":[%s]}\n", report.c_str());
   std::fclose(f);
   std::printf("\nwrote %s (1 run)\n", json_path.c_str());

@@ -54,8 +54,8 @@ void run_one(std::string proto) {
                         ? r.message_table.at("DqInval")
                         : 0),
                 static_cast<unsigned long long>(
-                    r.message_table.count("DqWriteAck")
-                        ? r.message_table.at("DqWriteAck")
+                    r.message_table.count("WriteAck")
+                        ? r.message_table.at("WriteAck")
                         : 0));
   }
   std::printf("\n");

@@ -47,17 +47,17 @@ IqsServer::IqsServer(sim::World& world, NodeId self,
 bool IqsServer::on_message(const sim::Envelope& env) {
   // Client-facing requests pay the constant per-request processing delay;
   // internal renewal/invalidation traffic does not (see sim/processing.h).
-  if (std::get_if<msg::DqLcRead>(&env.body) != nullptr) {
+  if (std::get_if<msg::LcRead>(&env.body) != nullptr) {
     m_load_->inc();
     sim::defer_processing(world_, self_, [this, env] {
-      handle_lc_read(env, std::get<msg::DqLcRead>(env.body));
+      handle_lc_read(env, std::get<msg::LcRead>(env.body));
     });
     return true;
   }
-  if (std::get_if<msg::DqWrite>(&env.body) != nullptr) {
+  if (std::get_if<msg::StampedWrite>(&env.body) != nullptr) {
     m_load_->inc();
     sim::defer_processing(world_, self_, [this, env] {
-      handle_write(env, std::get<msg::DqWrite>(env.body));
+      handle_write(env, std::get<msg::StampedWrite>(env.body));
     });
     return true;
   }
@@ -260,13 +260,13 @@ const IqsServer::Holder* IqsServer::find_holder(const ObjState& os,
 // Client-facing handlers
 // ---------------------------------------------------------------------------
 
-void IqsServer::handle_lc_read(const sim::Envelope& env,
-                               const msg::DqLcRead& m) {
+void IqsServer::handle_lc_read(const sim::Envelope& env, const msg::LcRead& m) {
   m_lc_reads_->inc();
-  reply(env, msg::DqLcReadReply{m.object, logical_clock_});
+  reply(env, msg::LcReadReply{m.object, logical_clock_});
 }
 
-void IqsServer::handle_write(const sim::Envelope& env, const msg::DqWrite& m) {
+void IqsServer::handle_write(const sim::Envelope& env,
+                             const msg::StampedWrite& m) {
   m_writes_->inc();
   auto& os = obj(m.object);
   if (m.clock > os.last_write) {
@@ -290,7 +290,8 @@ void IqsServer::handle_write(const sim::Envelope& env, const msg::DqWrite& m) {
   continue_write(env, m);
 }
 
-void IqsServer::continue_write(const sim::Envelope& env, const msg::DqWrite& m) {
+void IqsServer::continue_write(const sim::Envelope& env,
+                               const msg::StampedWrite& m) {
   ObjState& os = obj(m.object);
   if (os.ensure == nullptr) os.ensure = std::make_unique<Ensure>();
   Ensure& en = *os.ensure;
@@ -298,7 +299,7 @@ void IqsServer::continue_write(const sim::Envelope& env, const msg::DqWrite& m) 
     // An OQS write quorum is already unable to read anything older.
     m_suppressed_->inc();
     m_h_suppress_->observe(0.0);
-    reply(env, msg::DqWriteAck{m.object, m.clock});
+    reply(env, msg::WriteAck{m.object, m.clock});
     return;
   }
   // Register the waiter (dedupe retransmissions by src + rpc id).
@@ -416,10 +417,8 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
     en.call = 0;
   }
   en.call_target = en.target;
-  // call_until may complete synchronously (condition already true); in that
-  // case on_complete runs before the id is returned and we must not record
-  // a stale call id.
-  auto completed = std::make_shared<bool>(false);
+  // call_until returns 0 when the condition already holds: finish_ensure
+  // has then run, and the write needed no invalidation.
   const rpc::CallId id = engine_.call_until(
       *cfg_->oqs, quorum::Kind::kWrite,
       /*build=*/
@@ -440,9 +439,8 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
                owq_invalid(o, *os, os->ensure->target);
       },
       /*on_complete=*/
-      [this, o, completed](bool ok) {
+      [this, o](bool ok) {
         DQ_INVARIANT(ok, "ensure machines have no deadline; cannot fail");
-        *completed = true;
         finish_ensure(o);
       },
       [this] {
@@ -453,14 +451,12 @@ void IqsServer::start_or_extend_ensure(ObjectId o) {
         opts.deadline = sim::kTimeInfinity;
         return opts;
       }());
+  obj(o).ensure->call = id;
   if (world_.tracing()) {
-    world_.trace(self_, "write", *completed
-                                     ? "write-suppress obj " +
-                                           std::to_string(o.value())
-                                     : "write-through obj " +
-                                           std::to_string(o.value()));
+    world_.trace(self_, "write",
+                 (id == 0 ? "write-suppress obj " : "write-through obj ") +
+                     std::to_string(o.value()));
   }
-  if (!*completed) obj(o).ensure->call = id;
 }
 
 void IqsServer::finish_ensure(ObjectId o) {
@@ -498,7 +494,7 @@ void IqsServer::finish_ensure(ObjectId o) {
   for (const Waiter& w : ready) {
     // dqlint:allow(proto-direct-send): deferred reply tagged with the
     // recorded waiter's rpc id -- the reply path when the envelope is gone.
-    world_.send_tagged(self_, w.src, w.rpc_id, msg::DqWriteAck{o, w.clock},
+    world_.send_tagged(self_, w.src, w.rpc_id, msg::WriteAck{o, w.clock},
                        /*is_reply=*/true);
   }
 }

@@ -136,12 +136,12 @@ class IqsServer {
   };
 
   // --- message handlers ----------------------------------------------------
-  void handle_lc_read(const sim::Envelope& env, const msg::DqLcRead& m);
-  void handle_write(const sim::Envelope& env, const msg::DqWrite& m);
+  void handle_lc_read(const sim::Envelope& env, const msg::LcRead& m);
+  void handle_write(const sim::Envelope& env, const msg::StampedWrite& m);
   // Second half of handle_write, runs once the write's WAL record is
   // durable (immediately when no WAL is configured): suppression fast path,
   // waiter registration, ensure machine.
-  void continue_write(const sim::Envelope& env, const msg::DqWrite& m);
+  void continue_write(const sim::Envelope& env, const msg::StampedWrite& m);
   void handle_inval_ack(const sim::Envelope& env, const msg::DqInvalAck& m);
   void handle_vol_renew(const sim::Envelope& env, const msg::DqVolRenew& m);
   void handle_vol_renew_ack(const sim::Envelope& env,

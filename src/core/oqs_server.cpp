@@ -24,7 +24,7 @@ OqsServer::OqsServer(sim::World& world, NodeId self,
 }
 
 bool OqsServer::on_message(const sim::Envelope& env) {
-  if (const auto* m = std::get_if<msg::DqRead>(&env.body)) {
+  if (const auto* m = std::get_if<msg::Read>(&env.body)) {
     // Client-facing: pays the per-request processing delay.  Only what the
     // read needs waits it out, not a copy of the envelope.
     sim::defer_processing(
@@ -96,7 +96,6 @@ void OqsServer::on_crash() {
   objects_.clear();
   vol_leases_.clear();
   pending_.clear();
-  pending_index_.clear();
   proactive_active_.clear();
 }
 
@@ -183,9 +182,9 @@ void OqsServer::handle_read(NodeId src, RequestId rpc, ObjectId object) {
     world_.trace(self_, "read", "miss obj " + std::to_string(object.value()));
   }
   m_misses_->inc();
-  const std::uint64_t key = next_pending_++;
+  const PendingKey key{cfg_->volumes.volume_of(object), object,
+                       next_pending_++};
   pending_.emplace(key, pr);
-  pending_index_.emplace(cfg_->volumes.volume_of(object), object, key);
   start_read_machine(key);
 }
 
@@ -204,17 +203,13 @@ void OqsServer::reply_to_read(const PendingRead& pr) {
   // dqlint:allow(proto-direct-send): deferred reply tagged with the original
   // rpc id -- the reply path for a handler that no longer holds the envelope.
   world_.send_tagged(self_, pr.src, pr.rpc_id,
-                     msg::DqReadReply{pr.object, std::move(value), lc},
+                     msg::ReadReply{pr.object, std::move(value), lc},
                      /*is_reply=*/true);
 }
 
-void OqsServer::start_read_machine(std::uint64_t key) {
-  auto it = pending_.find(key);
-  if (it == pending_.end()) return;
-  const ObjectId o = it->second.object;
-  const VolumeId v = cfg_->volumes.volume_of(o);
-
-  auto completed = std::make_shared<bool>(false);
+void OqsServer::start_read_machine(const PendingKey& key) {
+  const VolumeId v = std::get<0>(key);
+  const ObjectId o = std::get<1>(key);
   const rpc::CallId id = engine_.call_until(
       *cfg_->iqs, quorum::Kind::kRead,
       /*build=*/
@@ -230,30 +225,22 @@ void OqsServer::start_read_machine(std::uint64_t key) {
       },
       /*on_reply=*/[](NodeId, const msg::Payload&) {},
       /*done=*/[this, o] { return condition_c(o); },
-      /*on_complete=*/
-      [this, key, completed](bool ok) {
-        *completed = true;
-        finish_read(key, ok);
-      },
+      /*on_complete=*/[this, key](bool ok) { finish_read(key, ok); },
       cfg_->rpc);
-  if (!*completed) {
-    if (auto it2 = pending_.find(key); it2 != pending_.end()) {
-      it2->second.call = id;
-    }
-  }
+  // A read that completed at once has already left pending_.
+  if (auto it = pending_.find(key); it != pending_.end()) it->second.call = id;
 }
 
-void OqsServer::finish_read(std::uint64_t key, bool ok) {
+void OqsServer::finish_read(const PendingKey& key, bool ok) {
   auto it = pending_.find(key);
   if (it == pending_.end()) return;
   PendingRead pr = it->second;
   pending_.erase(it);
-  pending_index_.erase({cfg_->volumes.volume_of(pr.object), pr.object, key});
   if (!ok) return;  // deadline exceeded; the service client's QRPC handles it
   m_h_miss_->observe(sim::to_ms(world_.now() - pr.started));
   reply_to_read(pr);
   if (cfg_->proactive_volume_renewal) {
-    maybe_schedule_proactive_renewal(cfg_->volumes.volume_of(pr.object));
+    maybe_schedule_proactive_renewal(std::get<0>(key));
   }
 }
 
@@ -267,32 +254,27 @@ std::vector<ObjectId> OqsServer::pending_objects() const {
 void OqsServer::poke_pending(const Granted& granted) {
   // A reply granted leases: the pending reads it names may now satisfy
   // condition C.  No other read can: time passing and invalidations only
-  // make C false.  Engine pokes re-evaluate `done`, in ascending key order
-  // (the order the reads arrived), and the call ids are collected first
-  // because a completed read leaves pending_.
-  std::vector<std::uint64_t> keys;
+  // make C false.  Engine pokes re-evaluate `done` in the order the reads
+  // arrived, and the calls are collected first because a completed read
+  // leaves pending_.
+  std::vector<std::pair<std::uint64_t, rpc::CallId>> calls;
   for (VolumeId v : granted.volumes) {
-    for (auto it = pending_index_.lower_bound({v, ObjectId(0), 0});
-         it != pending_index_.end() && std::get<0>(*it) == v; ++it) {
-      keys.push_back(std::get<2>(*it));
+    for (auto it = pending_.lower_bound({v, ObjectId(0), 0});
+         it != pending_.end() && std::get<0>(it->first) == v; ++it) {
+      calls.emplace_back(std::get<2>(it->first), it->second.call);
     }
   }
   for (ObjectId o : granted.objects) {
-    for (auto it = pending_index_.lower_bound(
-             {cfg_->volumes.volume_of(o), o, 0});
-         it != pending_index_.end() && std::get<1>(*it) == o; ++it) {
-      keys.push_back(std::get<2>(*it));
+    for (auto it = pending_.lower_bound({cfg_->volumes.volume_of(o), o, 0});
+         it != pending_.end() && std::get<1>(it->first) == o; ++it) {
+      calls.emplace_back(std::get<2>(it->first), it->second.call);
     }
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<rpc::CallId> calls;
-  calls.reserve(keys.size());
-  for (std::uint64_t k : keys) {
-    const rpc::CallId c = pending_.at(k).call;
-    if (c != 0) calls.push_back(c);
+  std::sort(calls.begin(), calls.end());
+  calls.erase(std::unique(calls.begin(), calls.end()), calls.end());
+  for (const auto& [arrival, call] : calls) {
+    if (call != 0) engine_.poke(call);
   }
-  for (rpc::CallId c : calls) engine_.poke(c);
 }
 
 // ---------------------------------------------------------------------------

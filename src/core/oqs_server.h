@@ -57,7 +57,7 @@ class OqsServer {
     return rec == nullptr ? VersionedValue{} : rec->cached;
   }
   [[nodiscard]] std::size_t pending_reads() const { return pending_.size(); }
-  // The object of every pending read, in arrival order.
+  // The object of every pending read, by (volume, object).
   [[nodiscard]] std::vector<ObjectId> pending_objects() const;
 
  private:
@@ -85,6 +85,9 @@ class OqsServer {
     rpc::CallId call = 0;
     sim::Time started = 0;  // when the miss began (for dqvl.read.miss_ms)
   };
+  // A pending read's key: (volume, object, arrival number).  A reply finds
+  // the reads it can complete by range scan; arrival breaks ties.
+  using PendingKey = std::tuple<VolumeId, ObjectId, std::uint64_t>;
   // What one reply granted, i.e. which pending reads it can complete: reads
   // on an object of `volumes` (the reply opened the volume lease or advanced
   // its epoch) and reads on `objects` (the reply carried an object grant).
@@ -107,8 +110,8 @@ class OqsServer {
                              Granted& granted);
   void apply_invalidation(NodeId i, ObjectId o, LogicalClock lc);
 
-  void start_read_machine(std::uint64_t key);
-  void finish_read(std::uint64_t key, bool ok);
+  void start_read_machine(const PendingKey& key);
+  void finish_read(const PendingKey& key, bool ok);
   void poke_pending(const Granted& granted);
   void reply_to_read(const PendingRead& pr);
 
@@ -142,10 +145,7 @@ class OqsServer {
   // reaches the wire, run_batched_renewal_round's, sorts what it collects.
   FlatTable<ObjRecord> objects_;
   FlatTable<PerIqsVol> vol_leases_;
-  std::map<std::uint64_t, PendingRead> pending_;
-  // The keys of pending_ by (volume, object), so a reply finds the reads it
-  // can complete without walking every pending read.
-  std::set<std::tuple<VolumeId, ObjectId, std::uint64_t>> pending_index_;
+  std::map<PendingKey, PendingRead> pending_;
   std::uint64_t next_pending_ = 1;
   std::set<VolumeId> proactive_active_;
   // Lazily built "contact every IQS member" system for prefetch.

@@ -31,19 +31,22 @@ struct Describe {
   Row operator()(const AppReply& m) const {
     return row("AppReply", 1 + kId + kClock + m.value.size());
   }
-  Row operator()(const DqLcRead&) const { return row("DqLcRead", kId); }
-  Row operator()(const DqLcReadReply&) const {
-    return row("DqLcReadReply", kId + kClock);
+  Row operator()(const Read&) const { return row("Read", kId); }
+  Row operator()(const ReadReply& m) const {
+    return row("ReadReply", kId + kClock + m.value.size());
   }
-  Row operator()(const DqWrite& m) const {
-    return row("DqWrite", kId + kClock + m.value.size());
+  Row operator()(const LcRead&) const { return row("LcRead", kId); }
+  Row operator()(const LcReadReply&) const {
+    return row("LcReadReply", kId + kClock);
   }
-  Row operator()(const DqWriteAck&) const {
-    return row("DqWriteAck", kId + kClock);
+  Row operator()(const Write& m) const {
+    return row("Write", kId + m.value.size());
   }
-  Row operator()(const DqRead&) const { return row("DqRead", kId); }
-  Row operator()(const DqReadReply& m) const {
-    return row("DqReadReply", kId + kClock + m.value.size());
+  Row operator()(const StampedWrite& m) const {
+    return row("StampedWrite", kId + kClock + m.value.size());
+  }
+  Row operator()(const WriteAck&) const {
+    return row("WriteAck", kId + kClock);
   }
   Row operator()(const DqVolRenew&) const {
     return row("DqVolRenew", kId + kTime);
@@ -96,55 +99,11 @@ struct Describe {
   Row operator()(const DqInvalAck&) const {
     return row("DqInvalAck", kId + kClock);
   }
-  Row operator()(const MajRead&) const { return row("MajRead", kId); }
-  Row operator()(const MajReadReply& m) const {
-    return row("MajReadReply", kId + kClock + m.value.size());
-  }
-  Row operator()(const MajLcRead&) const { return row("MajLcRead", kId); }
-  Row operator()(const MajLcReadReply&) const {
-    return row("MajLcReadReply", kId + kClock);
-  }
-  Row operator()(const MajWrite& m) const {
-    return row("MajWrite", kId + kClock + m.value.size());
-  }
-  Row operator()(const MajWriteAck&) const {
-    return row("MajWriteAck", kId + kClock);
-  }
-  Row operator()(const PbRead&) const { return row("PbRead", kId); }
-  Row operator()(const PbReadReply& m) const {
-    return row("PbReadReply", kId + kClock + m.value.size());
-  }
-  Row operator()(const PbWrite& m) const {
-    return row("PbWrite", kId + m.value.size());
-  }
-  Row operator()(const PbWriteAck&) const {
-    return row("PbWriteAck", kId + kClock);
-  }
   Row operator()(const PbSync& m) const {
     return row("PbSync", kId + kClock + m.value.size());
   }
   Row operator()(const PbSyncAck&) const {
     return row("PbSyncAck", kId + kClock);
-  }
-  Row operator()(const RowaRead&) const { return row("RowaRead", kId); }
-  Row operator()(const RowaReadReply& m) const {
-    return row("RowaReadReply", kId + kClock + m.value.size());
-  }
-  Row operator()(const RowaWrite& m) const {
-    return row("RowaWrite", kId + kClock + m.value.size());
-  }
-  Row operator()(const RowaWriteAck&) const {
-    return row("RowaWriteAck", kId + kClock);
-  }
-  Row operator()(const AsyncRead&) const { return row("AsyncRead", kId); }
-  Row operator()(const AsyncReadReply& m) const {
-    return row("AsyncReadReply", kId + kClock + m.value.size());
-  }
-  Row operator()(const AsyncWrite& m) const {
-    return row("AsyncWrite", kId + m.value.size());
-  }
-  Row operator()(const AsyncWriteAck&) const {
-    return row("AsyncWriteAck", kId + kClock);
   }
   Row operator()(const GossipUpdate& m) const {
     return row("GossipUpdate", kId + kClock + m.value.size());
@@ -159,16 +118,6 @@ struct Describe {
     }
     return row("AeUpdates", total);
   }
-  Row operator()(const HermesWrite& m) const {
-    return row("HermesWrite", kId + m.value.size());
-  }
-  Row operator()(const HermesWriteAck&) const {
-    return row("HermesWriteAck", kId + kClock);
-  }
-  Row operator()(const HermesRead&) const { return row("HermesRead", kId); }
-  Row operator()(const HermesReadReply& m) const {
-    return row("HermesReadReply", kId + kClock + m.value.size());
-  }
   Row operator()(const HermesInv& m) const {
     return row("HermesInv", kId + kClock + kTime + m.value.size());
   }
@@ -181,15 +130,8 @@ struct Describe {
   Row operator()(const HermesValAck&) const {
     return row("HermesValAck", kId + kClock);
   }
-  Row operator()(const DynRead&) const { return row("DynRead", kId); }
-  Row operator()(const DynReadReply& m) const {
-    return row("DynReadReply", kId + kClock + m.value.size());
-  }
   Row operator()(const DynWrite& m) const {
     return row("DynWrite", kId + kClock + 4 + m.value.size());
-  }
-  Row operator()(const DynWriteAck&) const {
-    return row("DynWriteAck", kId + kClock);
   }
   Row operator()(const DynHandoff& m) const {
     return row("DynHandoff", kId + kClock + m.value.size());

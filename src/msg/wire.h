@@ -7,6 +7,10 @@
 // dynamic_cast, and (3) there is exactly one place to audit what crosses the
 // (simulated) wire.
 //
+// Every protocol's client reads and writes with one shared register
+// vocabulary (Read, LcRead, Write, StampedWrite and their replies): paper
+// section 2 builds each client operation from a QRPC READ or WRITE, whatever
+// the quorum system.  Each protocol adds only its own coordination messages.
 // Naming follows the paper's pseudo-code (Figures 4 and 5) where a message
 // corresponds to a pseudo-code operation.
 #pragma once
@@ -50,47 +54,61 @@ struct AppReply {
 };
 
 // ---------------------------------------------------------------------------
+// Register operations, shared by every protocol.  A deployment runs one
+// protocol, so a request type names that protocol's servers; replies are
+// matched to their call by rpc id.
+// ---------------------------------------------------------------------------
+
+// Read an object; the reply carries the server's value and its clock.  A
+// DQVL OQS node replies only once condition C holds (processReadRequest).
+struct Read {
+  ObjectId object;
+};
+struct ReadReply {
+  ObjectId object;
+  Value value;
+  LogicalClock clock;
+};
+
+// Read the server's logical clock: the first phase of a client-stamped
+// write.  A DQVL IQS node answers with its global logicalClock
+// (processLCReadRequest).
+struct LcRead {
+  ObjectId object;
+};
+struct LcReadReply {
+  ObjectId object;
+  LogicalClock clock;
+};
+
+// A write the server stamps: the node that orders writes (the primary, the
+// colocated ROWA-Async or Hermes replica) picks the clock and returns it in
+// the ack.
+struct Write {
+  ObjectId object;
+  Value value;
+};
+
+// A write the client stamped (DQVL, majority, ROWA).  A DQVL IQS node acks
+// only once it has ensured an OQS write quorum cannot read the old version
+// (invalidation, suppression, or lease expiry; processWriteRequest).
+struct StampedWrite {
+  ObjectId object;
+  Value value;
+  LogicalClock clock;
+};
+
+// The ack of either write, carrying the write's clock.
+struct WriteAck {
+  ObjectId object;
+  LogicalClock clock;
+};
+
+// ---------------------------------------------------------------------------
 // Dual-quorum with volume leases (DQVL).  Also serves the basic dual-quorum
 // protocol of section 3.1, which is DQVL configured with an infinite lease
 // and a single volume.
 // ---------------------------------------------------------------------------
-
-// Service client -> IQS node: read the node's global logical clock
-// (processLCReadRequest).  First phase of a client write.
-struct DqLcRead {
-  ObjectId object;
-};
-struct DqLcReadReply {
-  ObjectId object;
-  LogicalClock clock;  // the node's global logicalClock
-};
-
-// Service client -> IQS node: the write proper (processWriteRequest).  The
-// ack is sent only once the node has ensured an OQS write quorum cannot read
-// the old version (invalidation, suppression, or lease expiry).
-struct DqWrite {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
-// dqlint:allow(flow-unhandled-message): ack consumed generically by the QRPC
-// quorum counter; no receiver inspects the body.
-struct DqWriteAck {
-  ObjectId object;
-  LogicalClock clock;
-};
-
-// Service client -> OQS node: read an object (processReadRequest).  The OQS
-// node replies only once condition C holds (valid volume + object lease from
-// a full IQS read quorum).
-struct DqRead {
-  ObjectId object;
-};
-struct DqReadReply {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
 
 // One delayed (or direct) invalidation: "object o was overwritten at logical
 // clock lc; your cached copy is stale".
@@ -195,57 +213,11 @@ struct DqInvalAck {
 };
 
 // ---------------------------------------------------------------------------
-// Majority-quorum register (baseline).
-// ---------------------------------------------------------------------------
-
-struct MajRead {
-  ObjectId object;
-};
-struct MajReadReply {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
-struct MajLcRead {
-  ObjectId object;
-};
-struct MajLcReadReply {
-  ObjectId object;
-  LogicalClock clock;
-};
-struct MajWrite {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
-// dqlint:allow(flow-unhandled-message): ack consumed generically by the QRPC
-// quorum counter; no receiver inspects the body.
-struct MajWriteAck {
-  ObjectId object;
-  LogicalClock clock;
-};
-
-// ---------------------------------------------------------------------------
 // Primary/backup (baseline).  Reads and writes are processed by the primary;
 // backups receive state either synchronously or asynchronously (configured).
 // ---------------------------------------------------------------------------
 
-struct PbRead {
-  ObjectId object;
-};
-struct PbReadReply {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
-struct PbWrite {
-  ObjectId object;
-  Value value;
-};
-struct PbWriteAck {
-  ObjectId object;
-  LogicalClock clock;
-};
+// Primary -> backup: propagate a write the primary stamped.
 struct PbSync {
   ObjectId object;
   Value value;
@@ -257,51 +229,11 @@ struct PbSyncAck {
 };
 
 // ---------------------------------------------------------------------------
-// ROWA -- read one, write all, synchronous (baseline).
-// ---------------------------------------------------------------------------
-
-struct RowaRead {
-  ObjectId object;
-};
-struct RowaReadReply {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
-struct RowaWrite {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
-// dqlint:allow(flow-unhandled-message): ack consumed generically by the QRPC
-// quorum counter; no receiver inspects the body.
-struct RowaWriteAck {
-  ObjectId object;
-  LogicalClock clock;
-};
-
-// ---------------------------------------------------------------------------
 // ROWA-Async -- local reads and writes, epidemic propagation (baseline,
 // Bayou-style).  Push on write plus periodic anti-entropy pull for
 // reliability under loss/partitions.
 // ---------------------------------------------------------------------------
 
-struct AsyncRead {
-  ObjectId object;
-};
-struct AsyncReadReply {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
-struct AsyncWrite {
-  ObjectId object;
-  Value value;
-};
-struct AsyncWriteAck {
-  ObjectId object;
-  LogicalClock clock;
-};
 // Replica -> replica push of a fresh update.
 struct GossipUpdate {
   ObjectId object;
@@ -325,22 +257,6 @@ struct AeUpdates {
 // order concurrent writes; `epoch` fences replays across recoveries.
 // ---------------------------------------------------------------------------
 
-struct HermesWrite {
-  ObjectId object;
-  Value value;
-};
-struct HermesWriteAck {
-  ObjectId object;
-  LogicalClock clock;
-};
-struct HermesRead {
-  ObjectId object;
-};
-struct HermesReadReply {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
 // Coordinator -> replica: "object o is being overwritten at timestamp lc;
 // stop serving your copy until the matching VAL arrives".
 struct HermesInv {
@@ -380,23 +296,13 @@ struct HermesValAck {
 // Sentinel for DynWrite::hint_for: the write landed on its home replica.
 inline constexpr std::uint32_t kNoHint = 0xffffffff;
 
-struct DynRead {
-  ObjectId object;
-};
-struct DynReadReply {
-  ObjectId object;
-  Value value;
-  LogicalClock clock;
-};
+// Coordinator -> replica: a client-stamped write that may stand in for an
+// unreachable home replica (acked with WriteAck).
 struct DynWrite {
   ObjectId object;
   Value value;
   LogicalClock clock;
   std::uint32_t hint_for = kNoHint;  // home replica index, kNoHint if none
-};
-struct DynWriteAck {
-  ObjectId object;
-  LogicalClock clock;
 };
 // Hint holder -> home replica: deliver a write accepted on its behalf.
 struct DynHandoff {
@@ -422,27 +328,21 @@ struct DynRepair {
 
 using Payload = std::variant<
     AppRequest, AppReply,
+    // Register operations
+    Read, ReadReply, LcRead, LcReadReply, Write, StampedWrite, WriteAck,
     // DQVL
-    DqLcRead, DqLcReadReply, DqWrite, DqWriteAck, DqRead, DqReadReply,
     DqVolRenew, DqVolRenewReply, DqVolRenewAck, DqVolRenewBatch,
     DqVolRenewBatchReply, DqVolRenewAckBatch, DqObjRenew, DqObjRenewReply,
     DqVolFetch, DqVolFetchReply, DqVolObjRenew, DqVolObjRenewReply, DqInval,
     DqInvalAck,
-    // Majority
-    MajRead, MajReadReply, MajLcRead, MajLcReadReply, MajWrite, MajWriteAck,
     // Primary/backup
-    PbRead, PbReadReply, PbWrite, PbWriteAck, PbSync, PbSyncAck,
-    // ROWA
-    RowaRead, RowaReadReply, RowaWrite, RowaWriteAck,
+    PbSync, PbSyncAck,
     // ROWA-Async
-    AsyncRead, AsyncReadReply, AsyncWrite, AsyncWriteAck, GossipUpdate,
-    AeDigest, AeUpdates,
+    GossipUpdate, AeDigest, AeUpdates,
     // Hermes
-    HermesWrite, HermesWriteAck, HermesRead, HermesReadReply, HermesInv,
-    HermesInvAck, HermesVal, HermesValAck,
+    HermesInv, HermesInvAck, HermesVal, HermesValAck,
     // Dynamo
-    DynRead, DynReadReply, DynWrite, DynWriteAck, DynHandoff, DynHandoffAck,
-    DynRepair>;
+    DynWrite, DynHandoff, DynHandoffAck, DynRepair>;
 
 // Number of alternatives in Payload (for dense per-type accounting arrays).
 [[nodiscard]] constexpr std::size_t payload_type_count() {

@@ -16,21 +16,7 @@
 
 namespace dq::protocols {
 
-struct DqMessages {
-  static msg::Payload read(ObjectId o) { return msg::DqRead{o}; }
-  static const msg::DqReadReply* read_reply(const msg::Payload& p) {
-    return std::get_if<msg::DqReadReply>(&p);
-  }
-  static msg::Payload lc_read(ObjectId o) { return msg::DqLcRead{o}; }
-  static const msg::DqLcReadReply* lc_read_reply(const msg::Payload& p) {
-    return std::get_if<msg::DqLcReadReply>(&p);
-  }
-  static msg::Payload write(ObjectId o, const Value& v, LogicalClock lc) {
-    return msg::DqWrite{o, v, lc};
-  }
-};
-
-class DqServiceClient : public ClientStampedClient<DqMessages> {
+class DqServiceClient : public ClientStampedClient {
  public:
   DqServiceClient(sim::World& world, NodeId self,
                   std::shared_ptr<const core::DqConfig> cfg)
@@ -48,11 +34,12 @@ class DqServiceClient : public ClientStampedClient<DqMessages> {
 //
 // The classic fix (ABD) is read write-back: before returning (value, lc),
 // confirm it at an IQS write quorum.  The IQS write handler already has the
-// needed semantics for a replayed clock: a DqWrite with lc <= lastWriteLC
-// applies nothing but acks only once an OQS write quorum is unable to read
-// anything older than lc.  After that every future read observes a clock
-// >= lc, so inversions are impossible.  Writes are the plain DQVL writes
-// (the LC-read phase already orders a write after every completed write).
+// needed semantics for a replayed clock: a StampedWrite with
+// lc <= lastWriteLC applies nothing but acks only once an OQS write quorum
+// is unable to read anything older than lc.  After that every future read
+// observes a clock >= lc, so inversions are impossible.  Writes are the
+// plain DQVL writes (the LC-read phase already orders a write after every
+// completed write).
 //
 // The cost (bench/ablation_atomic.cpp): reads are no longer local -- every
 // read pays an IQS write-quorum round (about one WAN RTT) on top of the OQS
@@ -72,7 +59,7 @@ class DqAtomicServiceClient final : public DqServiceClient {
       engine_.call(
           *writes_, quorum::Kind::kWrite,
           [o, vv](NodeId) -> std::optional<msg::Payload> {
-            return DqMessages::write(o, vv.value, vv.clock);
+            return msg::StampedWrite{o, vv.value, vv.clock};
           },
           [](NodeId, const msg::Payload&) {},
           [vv, done = std::move(done)](bool ok2) mutable {

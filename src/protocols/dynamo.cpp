@@ -52,7 +52,7 @@ void DynamoServer::handoff_round() {
 }
 
 bool DynamoServer::on_message(const sim::Envelope& env) {
-  if (std::holds_alternative<msg::DynRead>(env.body) ||
+  if (std::holds_alternative<msg::Read>(env.body) ||
       std::holds_alternative<msg::DynWrite>(env.body)) {
     sim::defer_processing(world_, self_, [this, env] { handle(env); });
     return true;
@@ -67,10 +67,10 @@ bool DynamoServer::on_message(const sim::Envelope& env) {
 }
 
 void DynamoServer::handle(const sim::Envelope& env) {
-  if (const auto* m = std::get_if<msg::DynRead>(&env.body)) {
+  if (const auto* m = std::get_if<msg::Read>(&env.body)) {
     m_reads_->inc();
     const VersionedValue vv = store_.get(m->object);
-    world_.reply(self_, env, msg::DynReadReply{m->object, vv.value, vv.clock});
+    world_.reply(self_, env, msg::ReadReply{m->object, vv.value, vv.clock});
   } else if (const auto* m = std::get_if<msg::DynWrite>(&env.body)) {
     m_writes_->inc();
     store_.apply(m->object, m->value, m->clock);
@@ -81,7 +81,7 @@ void DynamoServer::handle(const sim::Envelope& env) {
     }
     // Ack with the post-apply clock so coordinators learn versions newer
     // than the one they wrote (feeds their site Lamport clocks).
-    const msg::DynWriteAck ack{m->object, store_.clock_of(m->object)};
+    const msg::WriteAck ack{m->object, store_.clock_of(m->object)};
     if (wal_ != nullptr) {
       const store::Wal::Lsn lsn =
           wal_->append(store::WalRecord::put(m->object, m->value, m->clock));
@@ -195,7 +195,7 @@ void DynamoCoordinator::transmit(std::uint64_t id) {
     const NodeId target = op.pref[p];
     if (op.responded.count(target) != 0) continue;
     if (!op.is_write) {
-      world_.send(self_, target, RequestId(id), msg::DynRead{op.object});
+      world_.send(self_, target, RequestId(id), msg::Read{op.object});
       continue;
     }
     std::uint32_t hint = msg::kNoHint;
@@ -295,7 +295,7 @@ bool DynamoCoordinator::on_message(const sim::Envelope& env) {
   auto it = ops_.find(env.rpc_id.value());
   if (it == ops_.end()) return false;
   Op& op = it->second;
-  if (const auto* r = std::get_if<msg::DynReadReply>(&env.body)) {
+  if (const auto* r = std::get_if<msg::ReadReply>(&env.body)) {
     if (op.is_write || op.responded.count(env.src) != 0) return true;
     op.responded.insert(env.src);
     op.reply_clocks.emplace(env.src, r->clock);
@@ -306,7 +306,7 @@ bool DynamoCoordinator::on_message(const sim::Envelope& env) {
     }
     return true;
   }
-  if (const auto* a = std::get_if<msg::DynWriteAck>(&env.body)) {
+  if (const auto* a = std::get_if<msg::WriteAck>(&env.body)) {
     if (!op.is_write || op.responded.count(env.src) != 0) return true;
     op.responded.insert(env.src);
     lamport_ = std::max(lamport_, a->clock.counter);

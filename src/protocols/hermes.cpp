@@ -34,8 +34,8 @@ HermesServer::HermesServer(sim::World& world, NodeId self,
 bool HermesServer::on_message(const sim::Envelope& env) {
   // Replies to this node's own INV / VAL rounds.
   if (engine_.on_reply(env)) return true;
-  if (std::holds_alternative<msg::HermesWrite>(env.body) ||
-      std::holds_alternative<msg::HermesRead>(env.body)) {
+  if (std::holds_alternative<msg::Write>(env.body) ||
+      std::holds_alternative<msg::Read>(env.body)) {
     sim::defer_processing(world_, self_, [this, env] { handle(env); });
     return true;
   }
@@ -48,9 +48,9 @@ bool HermesServer::on_message(const sim::Envelope& env) {
 }
 
 void HermesServer::handle(const sim::Envelope& env) {
-  if (const auto* m = std::get_if<msg::HermesWrite>(&env.body)) {
+  if (const auto* m = std::get_if<msg::Write>(&env.body)) {
     handle_write(env, *m);
-  } else if (const auto* m = std::get_if<msg::HermesRead>(&env.body)) {
+  } else if (const auto* m = std::get_if<msg::Read>(&env.body)) {
     handle_read(env, *m);
   } else if (const auto* m = std::get_if<msg::HermesInv>(&env.body)) {
     apply_inv(env, *m);
@@ -66,8 +66,7 @@ bool HermesServer::is_valid(ObjectId o) const {
   return validated == store_.clock_of(o);
 }
 
-void HermesServer::handle_write(const sim::Envelope& env,
-                                const msg::HermesWrite& m) {
+void HermesServer::handle_write(const sim::Envelope& env, const msg::Write& m) {
   // At-most-once per (src, rpc): the client retransmits under the same rpc
   // id and a re-coordination would mint a second timestamp.
   const auto key = std::make_pair(env.src, env.rpc_id);
@@ -85,13 +84,11 @@ void HermesServer::handle_write(const sim::Envelope& env,
   coordinate(m.object, m.value, lc, env);
 }
 
-void HermesServer::handle_read(const sim::Envelope& env,
-                               const msg::HermesRead& m) {
+void HermesServer::handle_read(const sim::Envelope& env, const msg::Read& m) {
   if (is_valid(m.object)) {
     m_reads_->inc();
     const VersionedValue vv = store_.get(m.object);
-    world_.reply(self_, env,
-                 msg::HermesReadReply{m.object, vv.value, vv.clock});
+    world_.reply(self_, env, msg::ReadReply{m.object, vv.value, vv.clock});
     return;
   }
   // A write to this key is in flight somewhere; queue until the VAL.
@@ -113,7 +110,7 @@ void HermesServer::coordinate(ObjectId o, Value value, LogicalClock lc,
           const auto key = std::make_pair(client->src, client->rpc_id);
           inflight_writes_.erase(key);
           if (!ok) return;  // client's own deadline reports the rejection
-          const msg::HermesWriteAck ack{o, lc};
+          const msg::WriteAck ack{o, lc};
           done_writes_.emplace(key, ack);
           world_.reply(self_, *client, ack);
         }
@@ -178,7 +175,7 @@ void HermesServer::flush_reads(ObjectId o) {
   const VersionedValue vv = store_.get(o);
   for (const auto& [key, env] : it->second) {
     m_reads_->inc();
-    world_.reply(self_, env, msg::HermesReadReply{o, vv.value, vv.clock});
+    world_.reply(self_, env, msg::ReadReply{o, vv.value, vv.clock});
   }
   blocked_reads_.erase(it);
 }

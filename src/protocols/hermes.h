@@ -29,6 +29,9 @@
 // bumps the replica's membership epoch, replays the WAL into the store, and
 // re-coordinates every recovered key, so a restarted node rejoins without
 // serving stale data.
+//
+// Clients are quorum_client.h's ServerStampedClient over the colocated
+// replica, which does all coordination.
 #pragma once
 
 #include <map>
@@ -38,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "protocols/quorum_client.h"
 #include "quorum/quorum.h"
 #include "rpc/qrpc.h"
 #include "store/object_store.h"
@@ -66,8 +68,8 @@ class HermesServer {
 
  private:
   void handle(const sim::Envelope& env);
-  void handle_write(const sim::Envelope& env, const msg::HermesWrite& m);
-  void handle_read(const sim::Envelope& env, const msg::HermesRead& m);
+  void handle_write(const sim::Envelope& env, const msg::Write& m);
+  void handle_read(const sim::Envelope& env, const msg::Read& m);
   void apply_inv(const sim::Envelope& env, const msg::HermesInv& m);
   void apply_val(const sim::Envelope& env, const msg::HermesVal& m);
   // Broadcast INV to all replicas; on completion commit (optional client
@@ -98,7 +100,7 @@ class HermesServer {
   // Client-write dedupe (the front end's client retransmits under the same
   // rpc id; re-coordinating would mint a second timestamp).
   std::set<std::pair<NodeId, RequestId>> inflight_writes_;
-  std::map<std::pair<NodeId, RequestId>, msg::HermesWriteAck> done_writes_;
+  std::map<std::pair<NodeId, RequestId>, msg::WriteAck> done_writes_;
 
   obs::Counter* m_reads_;
   obs::Counter* m_blocked_reads_;
@@ -108,22 +110,5 @@ class HermesServer {
   obs::Counter* m_replays_;
   obs::Counter* m_recoveries_ = nullptr;
 };
-
-struct HermesMessages {
-  static msg::Payload read(ObjectId o) { return msg::HermesRead{o}; }
-  static const msg::HermesReadReply* read_reply(const msg::Payload& p) {
-    return std::get_if<msg::HermesReadReply>(&p);
-  }
-  static msg::Payload write(ObjectId o, const Value& v) {
-    return msg::HermesWrite{o, v};
-  }
-  static const msg::HermesWriteAck* write_ack(const msg::Payload& p) {
-    return std::get_if<msg::HermesWriteAck>(&p);
-  }
-};
-
-// Thin service client: single-RPC read/write against the colocated replica,
-// which does all coordination.
-using HermesClient = ServerStampedClient<HermesMessages>;
 
 }  // namespace dq::protocols

@@ -5,25 +5,24 @@
 namespace dq::protocols {
 
 bool MajorityServer::on_message(const sim::Envelope& env) {
-  const bool mine = std::holds_alternative<msg::MajRead>(env.body) ||
-                    std::holds_alternative<msg::MajLcRead>(env.body) ||
-                    std::holds_alternative<msg::MajWrite>(env.body);
+  const bool mine = std::holds_alternative<msg::Read>(env.body) ||
+                    std::holds_alternative<msg::LcRead>(env.body) ||
+                    std::holds_alternative<msg::StampedWrite>(env.body);
   if (!mine) return false;
   sim::defer_processing(world_, self_, [this, env] { handle(env); });
   return true;
 }
 
 void MajorityServer::handle(const sim::Envelope& env) {
-  if (const auto* m = std::get_if<msg::MajRead>(&env.body)) {
+  if (const auto* m = std::get_if<msg::Read>(&env.body)) {
     m_reads_->inc();
     const VersionedValue vv = store_.get(m->object);
-    world_.reply(self_, env,
-                 msg::MajReadReply{m->object, vv.value, vv.clock});
-  } else if (const auto* m = std::get_if<msg::MajLcRead>(&env.body)) {
+    world_.reply(self_, env, msg::ReadReply{m->object, vv.value, vv.clock});
+  } else if (const auto* m = std::get_if<msg::LcRead>(&env.body)) {
     m_lc_reads_->inc();
     world_.reply(self_, env,
-                 msg::MajLcReadReply{m->object, store_.clock_of(m->object)});
-  } else if (const auto* m = std::get_if<msg::MajWrite>(&env.body)) {
+                 msg::LcReadReply{m->object, store_.clock_of(m->object)});
+  } else if (const auto* m = std::get_if<msg::StampedWrite>(&env.body)) {
     m_writes_->inc();
     store_.apply(m->object, m->value, m->clock);
     if (wal_ != nullptr) {
@@ -32,12 +31,11 @@ void MajorityServer::handle(const sim::Envelope& env) {
       const store::Wal::Lsn lsn =
           wal_->append(store::WalRecord::put(m->object, m->value, m->clock));
       wal_->when_durable(lsn, [this, env, mw = *m] {
-        world_.reply(self_, env, msg::MajWriteAck{mw.object, mw.clock});
+        world_.reply(self_, env, msg::WriteAck{mw.object, mw.clock});
       });
       return;
     }
-    world_.reply(self_, env,
-                 msg::MajWriteAck{m->object, m->clock});
+    world_.reply(self_, env, msg::WriteAck{m->object, m->clock});
   }
 }
 

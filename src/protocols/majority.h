@@ -4,13 +4,14 @@
 // Reads gather a majority and take the highest-clock reply.  Writes are two
 // phases: read the highest clock from a majority, advance it, write to a
 // majority.  This provides regular semantics and is the paper's primary
-// strong-consistency baseline.
+// strong-consistency baseline.  Its clients are quorum_client.h's
+// ClientStampedClient over the majority system.
 #pragma once
 
 #include <memory>
 #include <optional>
 
-#include "protocols/quorum_client.h"
+#include "sim/world.h"
 #include "store/object_store.h"
 #include "store/wal.h"
 
@@ -52,22 +53,5 @@ class MajorityServer {
   obs::Counter* m_writes_;
   obs::Counter* m_recoveries_ = nullptr;
 };
-
-struct MajorityMessages {
-  static msg::Payload read(ObjectId o) { return msg::MajRead{o}; }
-  static const msg::MajReadReply* read_reply(const msg::Payload& p) {
-    return std::get_if<msg::MajReadReply>(&p);
-  }
-  static msg::Payload lc_read(ObjectId o) { return msg::MajLcRead{o}; }
-  static const msg::MajLcReadReply* lc_read_reply(const msg::Payload& p) {
-    return std::get_if<msg::MajLcReadReply>(&p);
-  }
-  static msg::Payload write(ObjectId o, const Value& v, LogicalClock lc) {
-    return msg::MajWrite{o, v, lc};
-  }
-};
-
-// Reads and writes both use the majority system.
-using MajorityClient = ClientStampedClient<MajorityMessages>;
 
 }  // namespace dq::protocols

@@ -65,8 +65,8 @@ void PbServer::on_recover() {
 }
 
 bool PbServer::on_message(const sim::Envelope& env) {
-  if (std::holds_alternative<msg::PbRead>(env.body) ||
-      std::holds_alternative<msg::PbWrite>(env.body)) {
+  if (std::holds_alternative<msg::Read>(env.body) ||
+      std::holds_alternative<msg::Write>(env.body)) {
     // Client-facing: only the primary serves these, after the processing
     // delay.  A non-primary silently ignores them (clients only target the
     // primary; anything else is a stray).
@@ -85,18 +85,17 @@ bool PbServer::on_message(const sim::Envelope& env) {
 }
 
 void PbServer::handle(const sim::Envelope& env) {
-  if (const auto* m = std::get_if<msg::PbRead>(&env.body)) {
+  if (const auto* m = std::get_if<msg::Read>(&env.body)) {
     m_reads_->inc();
     const VersionedValue vv = store_.get(m->object);
-    world_.reply(self_, env,
-                 msg::PbReadReply{m->object, vv.value, vv.clock});
-  } else if (const auto* m = std::get_if<msg::PbWrite>(&env.body)) {
+    world_.reply(self_, env, msg::ReadReply{m->object, vv.value, vv.clock});
+  } else if (const auto* m = std::get_if<msg::Write>(&env.body)) {
     m_writes_->inc();
     // The primary orders writes; clients carry no clock.  Retransmissions
     // (same client + rpc id) must not be applied twice.
     const auto key = std::make_pair(env.src, env.rpc_id);
     if (auto it = applied_.find(key); it != applied_.end()) {
-      world_.reply(self_, env, msg::PbWriteAck{m->object, it->second});
+      world_.reply(self_, env, msg::WriteAck{m->object, it->second});
       return;
     }
     const LogicalClock lc{++write_seq_, self_.value()};
@@ -134,13 +133,13 @@ void PbServer::propagate(ObjectId o, const Value& v, LogicalClock lc,
   const NodeId client = client_env.src;
   const RequestId rpc = client_env.rpc_id;
   if (backups_ == nullptr) {
-    world_.send_tagged(self_, client, rpc, msg::PbWriteAck{o, lc}, true);
+    world_.send_tagged(self_, client, rpc, msg::WriteAck{o, lc}, true);
     return;
   }
   if (cfg_->mode == PbMode::kAsyncPropagation) {
     // Ack first, push to backups in the background (one client round trip,
     // as the paper's Figure 6 assumes for primary/backup).
-    world_.send_tagged(self_, client, rpc, msg::PbWriteAck{o, lc}, true);
+    world_.send_tagged(self_, client, rpc, msg::WriteAck{o, lc}, true);
     for (NodeId b : backups_->members()) {
       world_.send(self_, b, RequestId(0), msg::PbSync{o, v, lc});
     }
@@ -158,8 +157,7 @@ void PbServer::propagate(ObjectId o, const Value& v, LogicalClock lc,
         // and deadline settle the write, and the history checker treats an
         // un-acked write as concurrent with later reads.
         if (!ok) return;
-        world_.send_tagged(self_, client, rpc, msg::PbWriteAck{o, lc},
-                           true);
+        world_.send_tagged(self_, client, rpc, msg::WriteAck{o, lc}, true);
       },
       cfg_->rpc);
 }

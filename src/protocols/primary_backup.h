@@ -6,7 +6,8 @@
 // acks immediately and propagates in the background).  The paper's
 // response-time figures show primary/backup completing writes in one client
 // round trip, i.e. the asynchronous mode, which is the default here; the
-// synchronous mode is kept for the ablation benches.
+// synchronous mode is kept for the ablation benches.  Clients are
+// quorum_client.h's ServerStampedClient over the primary alone.
 #pragma once
 
 #include <map>
@@ -15,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "protocols/quorum_client.h"
 #include "quorum/quorum.h"
 #include "rpc/qrpc.h"
 #include "store/object_store.h"
@@ -66,21 +66,5 @@ class PbServer {
   obs::Counter* m_syncs_;
   obs::Counter* m_recoveries_ = nullptr;
 };
-
-struct PbMessages {
-  static msg::Payload read(ObjectId o) { return msg::PbRead{o}; }
-  static const msg::PbReadReply* read_reply(const msg::Payload& p) {
-    return std::get_if<msg::PbReadReply>(&p);
-  }
-  static msg::Payload write(ObjectId o, const Value& v) {
-    return msg::PbWrite{o, v};
-  }
-  static const msg::PbWriteAck* write_ack(const msg::Payload& p) {
-    return std::get_if<msg::PbWriteAck>(&p);
-  }
-};
-
-// Clients send both reads and writes to the primary alone.
-using PbClient = ServerStampedClient<PbMessages>;
 
 }  // namespace dq::protocols

@@ -8,8 +8,8 @@
 namespace dq::protocols {
 
 bool RowaServer::on_message(const sim::Envelope& env) {
-  if (!std::holds_alternative<msg::RowaRead>(env.body) &&
-      !std::holds_alternative<msg::RowaWrite>(env.body)) {
+  if (!std::holds_alternative<msg::Read>(env.body) &&
+      !std::holds_alternative<msg::StampedWrite>(env.body)) {
     return false;
   }
   sim::defer_processing(world_, self_, [this, env] { handle(env); });
@@ -17,16 +17,14 @@ bool RowaServer::on_message(const sim::Envelope& env) {
 }
 
 void RowaServer::handle(const sim::Envelope& env) {
-  if (const auto* m = std::get_if<msg::RowaRead>(&env.body)) {
+  if (const auto* m = std::get_if<msg::Read>(&env.body)) {
     m_reads_->inc();
     const VersionedValue vv = store_.get(m->object);
-    world_.reply(self_, env,
-                 msg::RowaReadReply{m->object, vv.value, vv.clock});
-  } else if (const auto* m = std::get_if<msg::RowaWrite>(&env.body)) {
+    world_.reply(self_, env, msg::ReadReply{m->object, vv.value, vv.clock});
+  } else if (const auto* m = std::get_if<msg::StampedWrite>(&env.body)) {
     m_writes_->inc();
     store_.apply(m->object, m->value, m->clock);
-    world_.reply(self_, env,
-                 msg::RowaWriteAck{m->object, m->clock});
+    world_.reply(self_, env, msg::WriteAck{m->object, m->clock});
   }
 }
 
@@ -49,7 +47,7 @@ void RowaClient::write(ObjectId o, Value value, WriteCallback done) {
   engine_.call(
       *writes_, quorum::Kind::kWrite,
       [o, lc, value = std::move(value)](NodeId) -> std::optional<msg::Payload> {
-        return msg::RowaWrite{o, value, lc};
+        return msg::StampedWrite{o, value, lc};
       },
       [](NodeId, const msg::Payload&) {},
       [lc, done = std::move(done)](bool ok) { done(ok, lc); }, opts_);

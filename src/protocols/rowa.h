@@ -39,16 +39,9 @@ class RowaServer {
   obs::Counter* m_writes_;
 };
 
-struct RowaMessages {
-  static msg::Payload read(ObjectId o) { return msg::RowaRead{o}; }
-  static const msg::RowaReadReply* read_reply(const msg::Payload& p) {
-    return std::get_if<msg::RowaReadReply>(&p);
-  }
-};
-
 // Reads are the quorum-register read over the read-one system; writes are
 // stamped locally (see above) and sent to every replica.
-class RowaClient final : public QuorumClient<RowaMessages> {
+class RowaClient final : public QuorumClient {
  public:
   // `local_replica` is the replica colocated with this client's node (null
   // when the client runs off-replica; it then orders writes with a private

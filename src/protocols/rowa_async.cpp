@@ -43,8 +43,8 @@ void RowaAsyncServer::anti_entropy_round() {
 }
 
 bool RowaAsyncServer::on_message(const sim::Envelope& env) {
-  if (std::holds_alternative<msg::AsyncRead>(env.body) ||
-      std::holds_alternative<msg::AsyncWrite>(env.body)) {
+  if (std::holds_alternative<msg::Read>(env.body) ||
+      std::holds_alternative<msg::Write>(env.body)) {
     sim::defer_processing(world_, self_, [this, env] { handle(env); });
     return true;
   }
@@ -58,12 +58,11 @@ bool RowaAsyncServer::on_message(const sim::Envelope& env) {
 }
 
 void RowaAsyncServer::handle(const sim::Envelope& env) {
-  if (const auto* m = std::get_if<msg::AsyncRead>(&env.body)) {
+  if (const auto* m = std::get_if<msg::Read>(&env.body)) {
     m_reads_->inc();
     const VersionedValue vv = store_.get(m->object);
-    world_.reply(self_, env,
-                 msg::AsyncReadReply{m->object, vv.value, vv.clock});
-  } else if (const auto* m = std::get_if<msg::AsyncWrite>(&env.body)) {
+    world_.reply(self_, env, msg::ReadReply{m->object, vv.value, vv.clock});
+  } else if (const auto* m = std::get_if<msg::Write>(&env.body)) {
     m_writes_->inc();
     // Accept locally, ack, push to peers in the background.
     const std::uint64_t counter =
@@ -71,7 +70,7 @@ void RowaAsyncServer::handle(const sim::Envelope& env) {
     write_seq_ = counter;
     const LogicalClock lc{counter, self_.value()};
     store_.apply(m->object, m->value, lc);
-    world_.reply(self_, env, msg::AsyncWriteAck{m->object, lc});
+    world_.reply(self_, env, msg::WriteAck{m->object, lc});
     for (NodeId r : cfg_->replicas) {
       if (r != self_) {
         world_.send(self_, r, RequestId(0),

@@ -7,13 +7,14 @@
 // message loss and partitions.  Reads return whatever the local replica
 // holds -- possibly stale, which is exactly the weakness the dual-quorum
 // protocol removes (this shows up as expected failures in the
-// regular-semantics checker under partitions).
+// regular-semantics checker under partitions).  Clients are
+// quorum_client.h's ServerStampedClient over the colocated replica.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "protocols/quorum_client.h"
+#include "rpc/qrpc.h"
 #include "store/object_store.h"
 
 namespace dq::protocols {
@@ -49,22 +50,5 @@ class RowaAsyncServer {
   obs::Counter* m_gossip_;
   obs::Counter* m_ae_rounds_;
 };
-
-struct RowaAsyncMessages {
-  static msg::Payload read(ObjectId o) { return msg::AsyncRead{o}; }
-  static const msg::AsyncReadReply* read_reply(const msg::Payload& p) {
-    return std::get_if<msg::AsyncReadReply>(&p);
-  }
-  static msg::Payload write(ObjectId o, const Value& v) {
-    return msg::AsyncWrite{o, v};
-  }
-  static const msg::AsyncWriteAck* write_ack(const msg::Payload& p) {
-    return std::get_if<msg::AsyncWriteAck>(&p);
-  }
-};
-
-// Client: single-RPC read/write against one replica (the colocated one when
-// the front end runs on a replica node).
-using RowaAsyncClient = ServerStampedClient<RowaAsyncMessages>;
 
 }  // namespace dq::protocols

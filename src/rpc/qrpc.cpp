@@ -51,7 +51,7 @@ CallId QrpcEngine::call_until(const quorum::QuorumSystem& system,
   // The condition may already hold (e.g. every OQS copy already invalid).
   if (satisfied(c)) {
     finish(id, true);
-    return id;
+    return 0;
   }
   transmit_round(id);
   arm_retry(id);

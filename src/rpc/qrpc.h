@@ -83,8 +83,10 @@ class QrpcEngine {
               QrpcOptions opts = {});
 
   // DQVL variation: complete when `done()` holds.  `done` is evaluated
-  // immediately (the call may complete without sending anything), after
-  // every reply, and on poke().
+  // immediately, after every reply, and on poke().  When it already holds
+  // at the start, the call completes without sending anything and returns
+  // 0: on_complete(true) has then run, and no call exists to poke or
+  // cancel.
   CallId call_until(const quorum::QuorumSystem& system, quorum::Kind kind,
                     BuildRequest build, OnReply on_reply, Done done,
                     OnComplete on_complete, QrpcOptions opts = {});

@@ -231,10 +231,12 @@ ExperimentResult Deployment::collect() {
   }
   r.violations = r.history.check_regular();
   r.sim_duration = world_->now();
+  r.metrics = world_->metrics().snapshot();
   if (params_.staleness) {
     // Post-hoc age-of-information over the merged history: a pure
-    // computation, so it is byte-identical at any --jobs/--world-threads
-    // and perturbs nothing (the run is already over).
+    // computation into this result's snapshot, so it is byte-identical at
+    // any --jobs/--world-threads, perturbs nothing, and every collect
+    // reports the same ages.
     obs::StalenessTracker tracker;
     for (const OpRecord& op : r.history.ops()) {
       if (op.ok && op.kind == msg::OpKind::kWrite) {
@@ -242,20 +244,19 @@ ExperimentResult Deployment::collect() {
       }
     }
     tracker.seal();
-    obs::Histogram& age_hist =
-        world_->metrics().histogram("staleness.read_age_ms");
-    obs::Counter& reads = world_->metrics().counter("staleness.reads");
-    obs::Counter& stale = world_->metrics().counter("staleness.stale_reads");
+    obs::HistogramData& age_hist =
+        r.metrics.histograms["staleness.read_age_ms"];
+    std::uint64_t& reads = r.metrics.counters["staleness.reads"];
+    std::uint64_t& stale = r.metrics.counters["staleness.stale_reads"];
     for (const OpRecord& op : r.history.ops()) {
       if (!op.ok || op.kind != msg::OpKind::kRead) continue;
       const std::int64_t age =
           tracker.read_age(op.object.value(), op.invoked, op.clock);
-      age_hist.observe(sim::to_ms(age));
-      reads.inc();
-      if (age > 0) stale.inc();
+      age_hist.add(sim::to_ms(age));
+      ++reads;
+      if (age > 0) ++stale;
     }
   }
-  r.metrics = world_->metrics().snapshot();
   // The message totals are the net.* counters; the per-type table sums the
   // same sends by payload type.
   r.total_messages = r.metrics.counter("net.sent");

@@ -16,6 +16,7 @@
 #include "protocols/hermes.h"
 #include "protocols/majority.h"
 #include "protocols/primary_backup.h"
+#include "protocols/quorum_client.h"
 #include "protocols/registry.h"
 #include "protocols/rowa.h"
 #include "protocols/rowa_async.h"
@@ -132,8 +133,8 @@ void build_majority(Deployment& dep) {
   // edge locality).
   dep.install_direct_clients([&dep, &world, system](NodeId cn) {
     return std::static_pointer_cast<protocols::ServiceClient>(
-        std::make_shared<protocols::MajorityClient>(world, cn, system, system,
-                                                    dep.rpc_options()));
+        std::make_shared<protocols::ClientStampedClient>(
+            world, cn, system, system, dep.rpc_options()));
   });
 }
 
@@ -168,7 +169,8 @@ void build_primary_backup(Deployment& dep, protocols::PbMode mode) {
       quorum::ThresholdQuorum::majority({cfg->primary});
   dep.install_direct_clients([&world, primary, ccfg](NodeId cn) {
     return std::static_pointer_cast<protocols::ServiceClient>(
-        std::make_shared<protocols::PbClient>(world, cn, primary, ccfg->rpc));
+        std::make_shared<protocols::ServerStampedClient>(world, cn, primary,
+                                                          ccfg->rpc));
   });
 }
 
@@ -210,7 +212,7 @@ void build_rowa_async(Deployment& dep) {
   for (std::size_t i = 0; i < topo.num_servers(); ++i) {
     const NodeId n = topo.server(i);
     auto srv = std::make_shared<protocols::RowaAsyncServer>(world, n, ccfg);
-    auto sc = std::make_shared<protocols::RowaAsyncClient>(
+    auto sc = std::make_shared<protocols::ServerStampedClient>(
         world, n, quorum::ThresholdQuorum::majority({n}), dep.rpc_options());
     dep.install_front_end(i, std::move(sc));
     protocols::RowaAsyncServer* srv_raw = srv.get();
@@ -236,7 +238,7 @@ void build_hermes(Deployment& dep) {
   for (std::size_t i = 0; i < topo.num_servers(); ++i) {
     const NodeId n = topo.server(i);
     auto srv = std::make_shared<protocols::HermesServer>(world, n, ccfg);
-    auto sc = std::make_shared<protocols::HermesClient>(
+    auto sc = std::make_shared<protocols::ServerStampedClient>(
         world, n, quorum::ThresholdQuorum::majority({n}), dep.rpc_options());
     dep.install_front_end(i, std::move(sc));
     protocols::HermesServer* srv_raw = srv.get();

@@ -32,7 +32,7 @@ TEST(Conformance, LogicalClockIsGlobalAcrossObjects) {
 
   struct Capture final : sim::Actor {
     void on_message(const sim::Envelope& env) override {
-      if (const auto* r = std::get_if<msg::DqLcReadReply>(&env.body)) {
+      if (const auto* r = std::get_if<msg::LcReadReply>(&env.body)) {
         last = r->clock;
       }
     }
@@ -41,9 +41,9 @@ TEST(Conformance, LogicalClockIsGlobalAcrossObjects) {
   w.attach(NodeId(1), probe);
 
   w.send(NodeId(1), NodeId(0), RequestId(1),
-         msg::DqWrite{ObjectId(100), "x", {9, 1}});
+         msg::StampedWrite{ObjectId(100), "x", {9, 1}});
   w.run_for(sim::seconds(1));
-  w.send(NodeId(1), NodeId(0), RequestId(2), msg::DqLcRead{ObjectId(200)});
+  w.send(NodeId(1), NodeId(0), RequestId(2), msg::LcRead{ObjectId(200)});
   w.run_for(sim::seconds(1));
   EXPECT_EQ(probe.last, (LogicalClock{9, 1}))
       << "LC read of object 200 must reflect the write to object 100";
@@ -70,10 +70,10 @@ TEST(Conformance, EqualClockWriteDoesNotClobber) {
   w.attach(NodeId(1), sink);
 
   w.send(NodeId(1), NodeId(0), RequestId(1),
-         msg::DqWrite{ObjectId(1), "first", {5, 2}});
+         msg::StampedWrite{ObjectId(1), "first", {5, 2}});
   w.run_for(sim::seconds(1));
   w.send(NodeId(1), NodeId(0), RequestId(2),
-         msg::DqWrite{ObjectId(1), "second", {5, 2}});
+         msg::StampedWrite{ObjectId(1), "second", {5, 2}});
   w.run_for(sim::seconds(1));
   EXPECT_EQ(iqs.value_of(ObjectId(1)), "first");
 }

@@ -73,21 +73,21 @@ class IqsHarness : public ::testing::Test {
 };
 
 TEST_F(IqsHarness, LcReadReturnsGlobalClock) {
-  inject(kProbe, msg::DqLcRead{ObjectId(1)});
-  auto replies = capture_probe.of<msg::DqLcReadReply>();
+  inject(kProbe, msg::LcRead{ObjectId(1)});
+  auto replies = capture_probe.of<msg::LcReadReply>();
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].clock, LogicalClock::zero());
 
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v", {5, 3}});
-  inject(kProbe, msg::DqLcRead{ObjectId(1)});
-  replies = capture_probe.of<msg::DqLcReadReply>();
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v", {5, 3}});
+  inject(kProbe, msg::LcRead{ObjectId(1)});
+  replies = capture_probe.of<msg::LcReadReply>();
   ASSERT_EQ(replies.size(), 2u);
   EXPECT_EQ(replies[1].clock, (LogicalClock{5, 3}));
 }
 
 TEST_F(IqsHarness, ColdWriteAcksWithoutInvalidations) {
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v1", {1, 1}});
-  EXPECT_EQ(capture_probe.of<msg::DqWriteAck>().size(), 1u);
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v1", {1, 1}});
+  EXPECT_EQ(capture_probe.of<msg::WriteAck>().size(), 1u);
   EXPECT_TRUE(capture_a.of<msg::DqInval>().empty());
   EXPECT_TRUE(capture_b.of<msg::DqInval>().empty());
   EXPECT_EQ(iqs->last_write_clock(ObjectId(1)), (LogicalClock{1, 1}));
@@ -95,15 +95,15 @@ TEST_F(IqsHarness, ColdWriteAcksWithoutInvalidations) {
 }
 
 TEST_F(IqsHarness, StaleWriteDoesNotOverwriteButIsAcked) {
-  inject(kProbe, msg::DqWrite{ObjectId(1), "new", {5, 1}});
-  inject(kProbe, msg::DqWrite{ObjectId(1), "old", {2, 1}}, /*rpc=*/1000);
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "new", {5, 1}});
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "old", {2, 1}}, /*rpc=*/1000);
   EXPECT_EQ(iqs->value_of(ObjectId(1)), "new");
   EXPECT_EQ(iqs->last_write_clock(ObjectId(1)), (LogicalClock{5, 1}));
-  EXPECT_EQ(capture_probe.of<msg::DqWriteAck>().size(), 2u);
+  EXPECT_EQ(capture_probe.of<msg::WriteAck>().size(), 2u);
 }
 
 TEST_F(IqsHarness, ObjRenewGrantsValueAndInstallsCallback) {
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v1", {1, 1}});
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v1", {1, 1}});
   inject(kOqsA, msg::DqObjRenew{ObjectId(1), 0});
   auto replies = capture_a.of<msg::DqObjRenewReply>();
   ASSERT_EQ(replies.size(), 1u);
@@ -114,10 +114,10 @@ TEST_F(IqsHarness, ObjRenewGrantsValueAndInstallsCallback) {
 }
 
 TEST_F(IqsHarness, WriteAfterRenewalInvalidatesTheCachingNode) {
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v1", {1, 1}});
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v1", {1, 1}});
   inject(kOqsA, msg::DqVolRenew{VolumeId(0), 0});
   inject(kOqsA, msg::DqObjRenew{ObjectId(1), 0});
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v2", {2, 1}}, /*rpc=*/1001);
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v2", {2, 1}}, /*rpc=*/1001);
   // Node A holds a volume lease + object callback: it must be invalidated.
   auto invals = capture_a.of<msg::DqInval>();
   ASSERT_GE(invals.size(), 1u);
@@ -125,7 +125,7 @@ TEST_F(IqsHarness, WriteAfterRenewalInvalidatesTheCachingNode) {
   // Node B never renewed: no invalidation for it.
   EXPECT_TRUE(capture_b.of<msg::DqInval>().empty());
   // The ack to the client is withheld until A acks (or its lease expires).
-  EXPECT_EQ(capture_probe.of<msg::DqWriteAck>().size(), 1u);  // only v1's
+  EXPECT_EQ(capture_probe.of<msg::WriteAck>().size(), 1u);  // only v1's
 
   // Deliver A's invalidation ack; the write completes.
   world->send(NodeId(kOqsA), NodeId(kIqs), invals.empty()
@@ -133,33 +133,33 @@ TEST_F(IqsHarness, WriteAfterRenewalInvalidatesTheCachingNode) {
                                                : RequestId(998),
               msg::DqInvalAck{ObjectId(1), {2, 1}});
   world->run_for(sim::seconds(1));
-  EXPECT_EQ(capture_probe.of<msg::DqWriteAck>().size(), 2u);
+  EXPECT_EQ(capture_probe.of<msg::WriteAck>().size(), 2u);
   EXPECT_EQ(iqs->last_ack_clock(ObjectId(1), NodeId(kOqsA)),
             (LogicalClock{2, 1}));
 }
 
 TEST_F(IqsHarness, WriteCompletesByLeaseExpiryWhenAckNeverComes) {
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v1", {1, 1}});
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v1", {1, 1}});
   inject(kOqsA, msg::DqVolRenew{VolumeId(0), 0});
   inject(kOqsA, msg::DqObjRenew{ObjectId(1), 0});
   world->set_up(NodeId(kOqsA), false);  // A will never ack
 
   world->send(NodeId(kProbe), NodeId(kIqs), RequestId(1002),
-              msg::DqWrite{ObjectId(1), "v2", {2, 1}});
+              msg::StampedWrite{ObjectId(1), "v2", {2, 1}});
   world->run_for(sim::seconds(2));
-  EXPECT_EQ(capture_probe.of<msg::DqWriteAck>().size(), 1u) << "still blocked";
+  EXPECT_EQ(capture_probe.of<msg::WriteAck>().size(), 1u) << "still blocked";
   world->run_for(sim::seconds(8));  // lease (5 s) expires
-  EXPECT_EQ(capture_probe.of<msg::DqWriteAck>().size(), 2u);
+  EXPECT_EQ(capture_probe.of<msg::WriteAck>().size(), 2u);
   // And a delayed invalidation was queued for A.
   EXPECT_GE(iqs->delayed_queue_size(VolumeId(0), NodeId(kOqsA)), 1u);
 }
 
 TEST_F(IqsHarness, VolRenewDeliversDelayedInvalidations) {
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v1", {1, 1}});
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v1", {1, 1}});
   inject(kOqsA, msg::DqVolRenew{VolumeId(0), 0});
   inject(kOqsA, msg::DqObjRenew{ObjectId(1), 0});
   world->set_up(NodeId(kOqsA), false);
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v2", {2, 1}}, 1003);
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v2", {2, 1}}, 1003);
   world->run_for(sim::seconds(10));  // write completed via expiry
 
   world->set_up(NodeId(kOqsA), true);
@@ -180,7 +180,7 @@ TEST_F(IqsHarness, VolRenewDeliversDelayedInvalidations) {
 }
 
 TEST_F(IqsHarness, VolObjRenewCombinesBothGrants) {
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v1", {1, 1}});
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v1", {1, 1}});
   inject(kOqsB, msg::DqVolObjRenew{VolumeId(0), ObjectId(1), 7});
   auto replies = capture_b.of<msg::DqVolObjRenewReply>();
   ASSERT_EQ(replies.size(), 1u);
@@ -194,11 +194,11 @@ TEST_F(IqsHarness, DuplicateWriteRetransmissionGetsSingleOutcome) {
   // an ack (the engine's rpc-id match makes the second a no-op at the
   // client; the server simply re-acks).
   world->send(NodeId(kProbe), NodeId(kIqs), RequestId(555),
-              msg::DqWrite{ObjectId(1), "v1", {1, 1}});
+              msg::StampedWrite{ObjectId(1), "v1", {1, 1}});
   world->send(NodeId(kProbe), NodeId(kIqs), RequestId(555),
-              msg::DqWrite{ObjectId(1), "v1", {1, 1}});
+              msg::StampedWrite{ObjectId(1), "v1", {1, 1}});
   world->run_for(sim::seconds(1));
-  EXPECT_GE(capture_probe.of<msg::DqWriteAck>().size(), 1u);
+  EXPECT_GE(capture_probe.of<msg::WriteAck>().size(), 1u);
   EXPECT_EQ(iqs->value_of(ObjectId(1)), "v1");
 }
 
@@ -207,7 +207,7 @@ TEST_F(IqsHarness, VolFetchGrantsInAscendingObjectOrder) {
   // which the objects arrived.
   std::uint64_t rpc = 2000;
   for (std::uint64_t o : {9, 3, 7, 1}) {
-    inject(kProbe, msg::DqWrite{ObjectId(o), "v", {o, 1}}, rpc++);
+    inject(kProbe, msg::StampedWrite{ObjectId(o), "v", {o, 1}}, rpc++);
   }
   inject(kOqsA, msg::DqVolFetch{VolumeId(0), 0});
   auto replies = capture_a.of<msg::DqVolFetchReply>();
@@ -230,7 +230,7 @@ TEST_F(IqsHarness, EpochBumpOnlyWhenLeaseExpired) {
 }
 
 TEST_F(IqsHarness, CrashDropsEnsureMachinesButKeepsDurableState) {
-  inject(kProbe, msg::DqWrite{ObjectId(1), "v1", {1, 1}});
+  inject(kProbe, msg::StampedWrite{ObjectId(1), "v1", {1, 1}});
   iqs->on_crash();
   EXPECT_EQ(iqs->pending_ensures(), 0u);
   EXPECT_EQ(iqs->value_of(ObjectId(1)), "v1");

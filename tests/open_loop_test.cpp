@@ -365,6 +365,21 @@ TEST(Collect, MidRunCollectIsFrozenAndTheFinalOneMatchesAOneShotRun) {
   EXPECT_EQ(report::to_json(p, end), report_at(p, 0));
 }
 
+TEST(Collect, StalenessIsTheSameOnEveryCollect) {
+  // collect() computes the staleness instruments from the merged history;
+  // a second collect must not count every read again.
+  ExperimentParams p;
+  p.protocol = "dynamo";
+  p.requests_per_client = 50;
+  p.staleness = true;
+  p.seed = 3;
+  Deployment dep(p);
+  const ExperimentResult first = dep.run();
+  const ExperimentResult second = dep.collect();
+  EXPECT_GT(first.metrics.counter("staleness.reads"), 0u);
+  EXPECT_EQ(report::to_json(p, first), report::to_json(p, second));
+}
+
 TEST(OpenLoop, PerSiteCountersCoverAllSites) {
   const auto result = run_experiment(open_loop_params());
   const auto per_site = result.metrics.counters_with_prefix("site.offered.");

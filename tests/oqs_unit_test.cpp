@@ -100,7 +100,7 @@ class OqsHarness : public ::testing::Test {
 
   void send_read(std::uint64_t rpc = 77) {
     world->send(NodeId(kClient), NodeId(kOqs), RequestId(rpc),
-                msg::DqRead{ObjectId(1)});
+                msg::Read{ObjectId(1)});
     world->run_for(sim::milliseconds(200));
   }
 
@@ -116,17 +116,17 @@ TEST_F(OqsHarness, ColdReadSendsCombinedRenewalsToTheFullReadQuorum) {
   // Nothing valid: case (a) of the QRPC variation -- combined renewals.
   EXPECT_EQ(iqs_a.of<msg::DqVolObjRenew>().size(), 1u);
   EXPECT_EQ(iqs_b.of<msg::DqVolObjRenew>().size(), 1u);
-  EXPECT_TRUE(client.of<msg::DqReadReply>().empty()) << "C not yet true";
+  EXPECT_TRUE(client.of<msg::ReadReply>().empty()) << "C not yet true";
 }
 
 TEST_F(OqsHarness, ReplyArrivesOnlyAfterBothGrants) {
   send_read();
   grant_all_from(iqs_a, kIqsA, "v", {3, 1});
-  EXPECT_TRUE(client.of<msg::DqReadReply>().empty())
+  EXPECT_TRUE(client.of<msg::ReadReply>().empty())
       << "one grant is not a read quorum";
   EXPECT_FALSE(oqs->condition_c(ObjectId(1)));
   grant_all_from(iqs_b, kIqsB, "v", {3, 1});
-  auto replies = client.of<msg::DqReadReply>();
+  auto replies = client.of<msg::ReadReply>();
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].value, "v");
   EXPECT_EQ(replies[0].clock, (LogicalClock{3, 1}));
@@ -140,7 +140,7 @@ TEST_F(OqsHarness, WarmReadIsAnsweredLocally) {
   const auto msgs_before =
       iqs_a.received.size() + iqs_b.received.size();
   send_read(/*rpc=*/78);
-  EXPECT_EQ(client.of<msg::DqReadReply>().size(), 2u);
+  EXPECT_EQ(client.of<msg::ReadReply>().size(), 2u);
   EXPECT_EQ(iqs_a.received.size() + iqs_b.received.size(), msgs_before)
       << "a hit must not contact the IQS";
 }
@@ -149,7 +149,7 @@ TEST_F(OqsHarness, ReplyCarriesHighestValidClock) {
   send_read();
   grant_all_from(iqs_a, kIqsA, "older", {3, 1});
   grant_all_from(iqs_b, kIqsB, "newer", {4, 1});
-  auto replies = client.of<msg::DqReadReply>();
+  auto replies = client.of<msg::ReadReply>();
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].value, "newer");
   EXPECT_EQ(replies[0].clock, (LogicalClock{4, 1}));
@@ -304,7 +304,7 @@ class OqsPokeRules : public OqsHarness {
   }
   std::vector<std::uint64_t> answered_rpcs() const {
     std::vector<std::uint64_t> out;
-    for (const auto& e : client.envelopes_of<msg::DqReadReply>()) {
+    for (const auto& e : client.envelopes_of<msg::ReadReply>()) {
       out.push_back(e.rpc_id.value());
     }
     return out;
@@ -349,10 +349,10 @@ TEST_F(OqsPokeRules, VolumeEpochCatchUpAnswersTheReadAtOnce) {
 TEST_F(OqsPokeRules, OneGrantAnswersTwoReadsOfOneObjectInArrivalOrder) {
   warm_then_invalidate(kIqsB);
   world->send(NodeId(kClient), NodeId(kOqs), RequestId(81),
-              msg::DqRead{ObjectId(1)});
+              msg::Read{ObjectId(1)});
   world->run_for(sim::milliseconds(10));
   world->send(NodeId(kClient), NodeId(kOqs), RequestId(82),
-              msg::DqRead{ObjectId(1)});
+              msg::Read{ObjectId(1)});
   world->run_for(sim::milliseconds(100));
   ASSERT_EQ(oqs->pending_reads(), 2u);
   send_unsolicited(kIqsB, object_grant(ObjectId(1)));

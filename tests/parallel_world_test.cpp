@@ -150,7 +150,7 @@ class Echo final : public Actor {
  public:
   void on_message(const Envelope& env) override {
     log.push_back(env.src.value());
-    if (!env.is_reply) world().reply(id(), env, msg::DqRead{ObjectId(0)});
+    if (!env.is_reply) world().reply(id(), env, msg::Read{ObjectId(0)});
   }
   std::vector<std::uint32_t> log;
 };
@@ -172,7 +172,7 @@ TEST(ParallelWorld, CrossPartitionDeliveryOrderIsDeterministic) {
         if (s == d) continue;
         w.set_timer(NodeId(s), milliseconds(s + 1), [&w, s, d] {
           w.send(NodeId(s), NodeId(d), w.fresh_rpc_id(),
-                 msg::DqRead{ObjectId(s * 8 + d)});
+                 msg::Read{ObjectId(s * 8 + d)});
         });
       }
     }
@@ -280,7 +280,7 @@ TEST(ParallelWorld, RunUntilAdvancesEveryPartitionClock) {
   for (std::uint32_t i = 0; i < 4; ++i) w.attach(NodeId(i), actors[i]);
   w.run_until(seconds(5));
   EXPECT_EQ(w.now(), seconds(5));  // idle partitions still reach the deadline
-  w.send(NodeId(0), NodeId(3), RequestId(1), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(3), RequestId(1), msg::Read{ObjectId(1)});
   w.run_for(seconds(1));
   ASSERT_EQ(actors[3].log.size(), 1u);
 }
@@ -293,7 +293,7 @@ TEST(ParallelWorld, RunAllOnOnePartitionStopsAtTheLastEvent) {
   std::vector<Echo> actors(2);
   for (std::uint32_t i = 0; i < 2; ++i) w.attach(NodeId(i), actors[i]);
   w.set_timer(NodeId(0), milliseconds(7), [&w] {
-    w.send(NodeId(0), NodeId(1), w.fresh_rpc_id(), msg::DqRead{ObjectId(1)});
+    w.send(NodeId(0), NodeId(1), w.fresh_rpc_id(), msg::Read{ObjectId(1)});
   });
   w.run_all();
   // Request out at 7 ms, in at 47 ms; the reply lands back at 87 ms.
@@ -312,7 +312,7 @@ TEST(ParallelWorld, BoundaryEventStopsEveryPartitionAtItsTime) {
   // drops off the network at 20 ms, inside what would otherwise be one
   // 40 ms window.  It comes back at 50 ms and arms a 1 ms timer from there.
   w.set_timer(NodeId(0), milliseconds(1), [&w] {
-    w.send(NodeId(0), NodeId(3), w.fresh_rpc_id(), msg::DqRead{ObjectId(1)});
+    w.send(NodeId(0), NodeId(3), w.fresh_rpc_id(), msg::Read{ObjectId(1)});
   });
   std::vector<Time> seen;
   w.schedule_boundary(milliseconds(20), [&] {

@@ -20,8 +20,8 @@ using quorum::ThresholdQuorum;
 class Responder final : public sim::Actor {
  public:
   void on_message(const sim::Envelope& env) override {
-    if (std::holds_alternative<msg::MajRead>(env.body)) {
-      world().reply(id(), env, msg::MajReadReply{ObjectId(1), "v", {1, 1}});
+    if (std::holds_alternative<msg::Read>(env.body)) {
+      world().reply(id(), env, msg::ReadReply{ObjectId(1), "v", {1, 1}});
     }
   }
 };
@@ -80,7 +80,7 @@ TEST_P(QrpcProperty, CompletesCorrectlyOrFailsByDeadline) {
     engine.call(
         *system, Kind::kRead,
         [](NodeId) -> std::optional<msg::Payload> {
-          return msg::MajRead{ObjectId(1)};
+          return msg::Read{ObjectId(1)};
         },
         [seen](NodeId src, const msg::Payload&) {
           // Property: the engine never delivers two replies from one node.

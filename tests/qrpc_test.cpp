@@ -24,13 +24,13 @@ std::vector<NodeId> nodes(std::size_t n) {
   return out;
 }
 
-// Echo server: replies to MajRead with a MajReadReply.
+// Echo server: replies to Read with a ReadReply.
 class Echo final : public sim::Actor {
  public:
   void on_message(const sim::Envelope& env) override {
     ++requests;
-    if (std::holds_alternative<msg::MajRead>(env.body)) {
-      world().reply(id(), env, msg::MajReadReply{ObjectId(1), "v", {1, 1}});
+    if (std::holds_alternative<msg::Read>(env.body)) {
+      world().reply(id(), env, msg::ReadReply{ObjectId(1), "v", {1, 1}});
     }
   }
   int requests = 0;
@@ -77,7 +77,7 @@ TEST_F(QrpcTest, CompletesOnQuorumOfReplies) {
   engine->call(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [&](NodeId, const msg::Payload&) { ++replies; },
       [&](bool ok) {
@@ -96,7 +96,7 @@ TEST_F(QrpcTest, RetransmitsThroughLossUntilQuorum) {
   engine->call(
       *system, Kind::kWrite,
       [](NodeId) -> std::optional<msg::Payload> {
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [](NodeId, const msg::Payload&) {},
       [&](bool ok) { completed = ok; });
@@ -114,7 +114,7 @@ TEST_F(QrpcTest, RoutesAroundDeadNodesViaFreshQuorums) {
   engine->call(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [](NodeId, const msg::Payload&) {},
       [&](bool ok) { completed = ok; });
@@ -133,7 +133,7 @@ TEST_F(QrpcTest, DeadlineFailsTheCall) {
   engine->call(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [](NodeId, const msg::Payload&) {},
       [&](bool ok) {
@@ -156,7 +156,7 @@ TEST_F(QrpcTest, NullBuildSkipsNodes) {
       [&](NodeId n) -> std::optional<msg::Payload> {
         if (n == NodeId(0)) return std::nullopt;
         ++sent[n.value()];
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [](NodeId, const msg::Payload&) {},
       [this] {
@@ -172,7 +172,7 @@ TEST_F(QrpcTest, NullBuildSkipsNodes) {
 
 TEST_F(QrpcTest, DoneAlreadyTrueCompletesWithoutSending) {
   bool completed = false;
-  engine->call_until(
+  const CallId id = engine->call_until(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
         ADD_FAILURE() << "must not send when done() holds at start";
@@ -182,6 +182,10 @@ TEST_F(QrpcTest, DoneAlreadyTrueCompletesWithoutSending) {
       [&](bool ok) { completed = ok; });
   EXPECT_TRUE(completed);
   EXPECT_EQ(world->sent_messages(), 0u);
+  // The call ended before call_until returned, so no id names it: the
+  // caller gets 0, "no call", and has nothing to poke or cancel.
+  EXPECT_EQ(id, 0u);
+  EXPECT_EQ(engine->inflight(), 0u);
 }
 
 TEST_F(QrpcTest, PokeCompletesCallOnExternalStateChange) {
@@ -205,7 +209,7 @@ TEST_F(QrpcTest, CancelStopsRetransmissionsAndDropsCall) {
   const CallId id = engine->call(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [](NodeId, const msg::Payload&) {},
       [](bool) { ADD_FAILURE() << "cancelled call must not complete"; });
@@ -220,7 +224,7 @@ TEST_F(QrpcTest, DuplicateRepliesFromOneNodeCountOnce) {
   engine->call(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [&](NodeId, const msg::Payload&) { ++replies; }, [](bool) {});
   world->run_for(sim::seconds(5));
@@ -232,7 +236,7 @@ TEST_F(QrpcTest, RepliesAfterCompletionAreNotConsumed) {
   engine->call(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [](NodeId, const msg::Payload&) {}, [&](bool) { completed = true; });
   world->run_for(sim::seconds(5));
@@ -249,12 +253,12 @@ TEST_F(QrpcTest, LoopbackRequestIsNotMistakenForReply) {
   engine->call(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [](NodeId, const msg::Payload&) {}, [&](bool) { completed = true; });
   // Forge a request envelope with is_reply = false.
   sim::Envelope forged{NodeId(0), NodeId(kServers), RequestId(1),
-                       msg::MajRead{ObjectId(1)}, /*is_reply=*/false};
+                       msg::Read{ObjectId(1)}, /*is_reply=*/false};
   EXPECT_FALSE(engine->on_reply(forged));
   EXPECT_FALSE(completed);
 }
@@ -267,13 +271,13 @@ TEST_F(QrpcTest, OneWayReplyWithRpcZeroIsNotConsumed) {
     engine->call(
         *system, Kind::kRead,
         [](NodeId) -> std::optional<msg::Payload> {
-          return msg::MajRead{ObjectId(1)};
+          return msg::Read{ObjectId(1)};
         },
         [](NodeId, const msg::Payload&) {}, [&](bool ok) { completed += ok; });
   }
   ASSERT_EQ(engine->inflight(), 3u);
   sim::Envelope one_way{NodeId(0), NodeId(kServers), RequestId(0),
-                        msg::MajReadReply{ObjectId(1), "v", {1, 1}},
+                        msg::ReadReply{ObjectId(1), "v", {1, 1}},
                         /*is_reply=*/true};
   EXPECT_FALSE(engine->on_reply(one_way));
   EXPECT_EQ(engine->inflight(), 3u);
@@ -333,7 +337,7 @@ TEST_F(QrpcTest, CompletionsThatStartCallsGrowTheSlab) {
     engine->call(
         *system, Kind::kRead,
         [](NodeId) -> std::optional<msg::Payload> {
-          return msg::MajRead{ObjectId(1)};
+          return msg::Read{ObjectId(1)};
         },
         [](NodeId, const msg::Payload&) {}, [&](bool ok) { completed += ok; });
   };
@@ -342,7 +346,7 @@ TEST_F(QrpcTest, CompletionsThatStartCallsGrowTheSlab) {
   engine->call(
       *system, Kind::kRead,
       [](NodeId) -> std::optional<msg::Payload> {
-        return msg::MajRead{ObjectId(1)};
+        return msg::Read{ObjectId(1)};
       },
       [](NodeId, const msg::Payload&) {},
       [&](bool ok) {

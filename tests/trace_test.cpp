@@ -52,12 +52,13 @@ TEST(Trace, WorldRecordsNetworkAndFaultEvents) {
   w.attach(NodeId(0), a);
   w.attach(NodeId(1), b);
 
-  w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(1), msg::Read{ObjectId(1)});
   w.crash(NodeId(1));
   w.restart(NodeId(1));
   EXPECT_EQ(w.tracer().count("net"), 1u);
   EXPECT_EQ(w.tracer().count("fault"), 2u);
-  EXPECT_NE(w.tracer().events()[0].detail.find("DqRead"), std::string::npos);
+  EXPECT_NE(w.tracer().events()[0].detail.find("send Read ->"),
+            std::string::npos);
 }
 
 // Protocol decision points: drive one miss/hit/write cycle and assert the

@@ -391,9 +391,9 @@ TEST(FrontEndTableBound, CachedRepliesDoNotGrowWithTheHorizon) {
 
 TEST(WireSizes, GrowWithPayloadContent) {
   const auto small = msg::approximate_size(
-      msg::DqWrite{ObjectId(1), "x", {1, 1}});
+      msg::StampedWrite{ObjectId(1), "x", {1, 1}});
   const auto big = msg::approximate_size(
-      msg::DqWrite{ObjectId(1), std::string(1000, 'x'), {1, 1}});
+      msg::StampedWrite{ObjectId(1), std::string(1000, 'x'), {1, 1}});
   EXPECT_EQ(big - small, 999u);
 }
 
@@ -406,7 +406,7 @@ TEST(WireSizes, DelayedInvalidationListsAreCharged) {
 
 TEST(WireSizes, EveryAlternativeHasANonTrivialSize) {
   // Spot-check that no payload degenerates to zero (header is counted).
-  EXPECT_GT(msg::approximate_size(msg::DqRead{ObjectId(1)}), 30u);
+  EXPECT_GT(msg::approximate_size(msg::Read{ObjectId(1)}), 30u);
   EXPECT_GT(msg::approximate_size(msg::AeDigest{}), 30u);
   EXPECT_GT(msg::approximate_size(msg::PbSyncAck{}), 30u);
 }

@@ -41,7 +41,7 @@ class WorldTest : public ::testing::Test {
 };
 
 TEST_F(WorldTest, DeliversWithServerToServerDelay) {
-  w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(7)});
+  w.send(NodeId(0), NodeId(1), RequestId(1), msg::Read{ObjectId(7)});
   w.run_for(milliseconds(39));
   EXPECT_TRUE(actors[1].received.empty());
   w.run_for(milliseconds(2));
@@ -51,7 +51,7 @@ TEST_F(WorldTest, DeliversWithServerToServerDelay) {
 }
 
 TEST_F(WorldTest, LoopbackIsImmediate) {
-  w.send(NodeId(0), NodeId(0), RequestId(2), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(0), RequestId(2), msg::Read{ObjectId(1)});
   w.run_for(0);
   EXPECT_EQ(actors[0].received.size(), 1u);
 }
@@ -69,33 +69,33 @@ TEST_F(WorldTest, ClientToHomeIsFasterThanRemote) {
 
 TEST_F(WorldTest, DownNodeNeitherSendsNorReceives) {
   w.set_up(NodeId(1), false);
-  w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
-  w.send(NodeId(1), NodeId(0), RequestId(2), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(1), msg::Read{ObjectId(1)});
+  w.send(NodeId(1), NodeId(0), RequestId(2), msg::Read{ObjectId(1)});
   w.run_for(seconds(1));
   EXPECT_TRUE(actors[1].received.empty());
   EXPECT_TRUE(actors[0].received.empty());
   // Recovery restores delivery.
   w.set_up(NodeId(1), true);
-  w.send(NodeId(0), NodeId(1), RequestId(3), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(3), msg::Read{ObjectId(1)});
   w.run_for(seconds(1));
   EXPECT_EQ(actors[1].received.size(), 1u);
 }
 
 TEST_F(WorldTest, PartitionBlocksCrossGroupTraffic) {
   w.faults().set_group(NodeId(0), 1);  // 0 alone; 1,2,3 in group 0
-  w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
-  w.send(NodeId(1), NodeId(2), RequestId(2), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(1), msg::Read{ObjectId(1)});
+  w.send(NodeId(1), NodeId(2), RequestId(2), msg::Read{ObjectId(1)});
   w.run_for(seconds(1));
   EXPECT_TRUE(actors[1].received.empty());
   EXPECT_EQ(actors[2].received.size(), 1u);
   w.faults().heal();
-  w.send(NodeId(0), NodeId(1), RequestId(3), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(3), msg::Read{ObjectId(1)});
   w.run_for(seconds(1));
   EXPECT_EQ(actors[1].received.size(), 1u);
 }
 
 TEST_F(WorldTest, PartitionStartedWhileInFlightEatsTheMessage) {
-  w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(1), msg::Read{ObjectId(1)});
   w.run_for(milliseconds(10));
   w.set_up(NodeId(1), false);  // goes down before the 40 ms delivery
   w.run_for(seconds(1));
@@ -107,7 +107,7 @@ TEST_F(WorldTest, LossDropsApproximatelyTheConfiguredFraction) {
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
     w.send(NodeId(0), NodeId(1), RequestId(static_cast<std::uint64_t>(i)),
-           msg::DqRead{ObjectId(1)});
+           msg::Read{ObjectId(1)});
   }
   w.run_for(seconds(1));
   const double delivered =
@@ -117,7 +117,7 @@ TEST_F(WorldTest, LossDropsApproximatelyTheConfiguredFraction) {
 
 TEST_F(WorldTest, DuplicationDeliversExtraCopies) {
   w.faults().set_duplication_probability(1.0);
-  w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(1), msg::Read{ObjectId(1)});
   w.run_for(seconds(1));
   EXPECT_EQ(actors[1].received.size(), 2u);
 }
@@ -139,7 +139,7 @@ TEST_F(WorldTest, CrashDropsPendingTimersAndInvokesHooks) {
 
 TEST_F(WorldTest, CrashedNodeDoesNotReceive) {
   w.crash(NodeId(1));
-  w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(1), msg::Read{ObjectId(1)});
   w.run_for(seconds(1));
   EXPECT_TRUE(actors[1].received.empty());
 }
@@ -155,18 +155,18 @@ TEST_F(WorldTest, LocalClockTimerHonoursDrift) {
 }
 
 TEST_F(WorldTest, SentCountByType) {
-  w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(1), msg::Read{ObjectId(1)});
   w.send(NodeId(0), NodeId(1), RequestId(2), msg::DqInval{ObjectId(1), {}});
   w.send(NodeId(0), NodeId(2), RequestId(3), msg::DqInval{ObjectId(1), {}});
   EXPECT_EQ(w.sent_messages(), 3u);
-  EXPECT_EQ(w.sent_by_type()["DqRead"], 1u);
+  EXPECT_EQ(w.sent_by_type()["Read"], 1u);
   EXPECT_EQ(w.sent_by_type()["DqInval"], 2u);
-  EXPECT_EQ(w.sent_by_type()["DqWrite"], 0u);  // never sent
+  EXPECT_EQ(w.sent_by_type()["StampedWrite"], 0u);  // never sent
 }
 
 TEST_F(WorldTest, DroppedCounterTracksUnreachableAndLost) {
   w.set_up(NodeId(1), false);
-  w.send(NodeId(0), NodeId(1), RequestId(1), msg::DqRead{ObjectId(1)});
+  w.send(NodeId(0), NodeId(1), RequestId(1), msg::Read{ObjectId(1)});
   EXPECT_EQ(w.dropped_messages(), 1u);
 }
 
@@ -183,7 +183,7 @@ TEST_F(WorldTest, SameSeedSameDeliverySchedule) {
     std::vector<Time> times;
     for (int i = 0; i < 20; ++i) {
       w2.send(NodeId(0), NodeId(1), RequestId(static_cast<std::uint64_t>(i)),
-              msg::DqRead{ObjectId(1)});
+              msg::Read{ObjectId(1)});
     }
     w2.run_for(seconds(1));
     times.push_back(w2.now());

@@ -12,11 +12,11 @@ Usage:
                                               ROOT, also validate the goldens
                                               (ROOT/tests/golden/*.json) and
                                               every checked-in BENCH_*.json
-  check_metrics_schema.py --rerun BENCH BASELINE OUT
-                                              run `BENCH --json=OUT`, validate
-                                              OUT, and require its runs array
-                                              to equal BASELINE's (the host
-                                              block may differ)
+  check_metrics_schema.py --rerun BENCH BASELINE OUT [ARG...]
+                                              run `BENCH --json=OUT [ARG...]`,
+                                              validate OUT, and require its
+                                              runs array to equal BASELINE's
+                                              (the host block may differ)
   check_metrics_schema.py --dqlint PATH       run `PATH --root=<repo>
                                               --json=<tmp>`, validate the
                                               dq.lint.v1 output, and require
@@ -337,10 +337,12 @@ def checked_in_documents(root):
     return paths
 
 
-def rerun_matches(bench, baseline, out):
-    """Run `bench --json=out`; its runs must equal the baseline's."""
-    proc = subprocess.run([bench, f"--json={out}"], stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True)
+def rerun_matches(bench, baseline, out, *args):
+    """Run `bench --json=out args...`; its runs must equal the
+    baseline's."""
+    proc = subprocess.run([bench, f"--json={out}", *args],
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True)
     if proc.returncode != 0:
         print(proc.stdout, file=sys.stderr)
         print(f"FAIL: {bench} exited {proc.returncode}", file=sys.stderr)
@@ -367,9 +369,9 @@ def rerun_matches(bench, baseline, out):
 
 def main(argv):
     if len(argv) >= 2 and argv[1] == "--rerun":
-        if len(argv) != 5:
-            print("usage: check_metrics_schema.py --rerun BENCH BASELINE OUT",
-                  file=sys.stderr)
+        if len(argv) < 5:
+            print("usage: check_metrics_schema.py --rerun BENCH BASELINE OUT "
+                  "[ARG...]", file=sys.stderr)
             return 2
         return 0 if rerun_matches(*argv[2:]) else 1
 
